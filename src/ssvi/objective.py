@@ -8,17 +8,18 @@ to an additive constant:
 Evaluations run on a frozen standard-normal sample so the optimization is a
 deterministic convex program.  The free-energy reduction uses math.fsum
 (correctly rounded), which makes F̂ bit-equal under any permutation of the
-sample; gradient reductions use numpy's fixed-order pairwise summation.
+sample; gradient reductions run in a fixed order (numpy's pairwise sums and
+in-order bincounts).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .starmap import ConeViolationError, forward
+from .starmap import ConeViolationError, _ForwardState, forward
 
 CHUNK = 1024  # documented reduction chunk size for per-sample partials
 
@@ -46,10 +47,15 @@ class SaaSample:
 
 @dataclass(frozen=True)
 class FreeEnergyReport:
+    """F̂ and its parts; ``state`` is the forward pass it was computed from,
+    which :func:`gradient` reuses at the same point."""
+
     value: float
     potential_term: float
     entropy_term: float
     std_error: float
+    state: _ForwardState | None = field(default=None, repr=False,
+                                        compare=False)
 
 
 def _transported(params, spec, target, sample):
@@ -73,7 +79,7 @@ def free_energy(params, spec, target, sample) -> FreeEnergyReport:
     ent = -math.fsum(logdet) / n
     per_sample = Vz - logdet
     se = float(per_sample.std(ddof=1) / math.sqrt(n)) if n > 1 else math.inf
-    return FreeEnergyReport(pot + ent, pot, ent, se)
+    return FreeEnergyReport(pot + ent, pot, ent, se, st)
 
 
 def _chunked_mean(arr):
@@ -85,7 +91,22 @@ def _chunked_mean(arr):
     return total / n
 
 
-def gradient(params, spec, target, sample):
+def _ramp_sums(cell, f, weights, shape):
+    """Σ_s weights_s · ψ_m(x_s) for every ramp m, binned by ``cell``.
+
+    The ramp ψ_m(x) = clip((x − b_m)/δ, 0, 1) is 1 below the grid cell k of
+    x, f (the position inside the cell) at it and 0 above, so one bin per
+    sample replaces a dense (samples × N) ramp table.  ``cell`` is the flat
+    index into ``shape``, whose last axis is the ramp m.
+    """
+    size = math.prod(shape)
+    full = np.bincount(cell, weights=weights, minlength=size).reshape(shape)
+    out = np.bincount(cell, weights=weights * f, minlength=size).reshape(shape)
+    out[..., :-1] += np.cumsum(full[..., :0:-1], axis=-1)[..., ::-1]
+    return out
+
+
+def gradient(params, spec, target, sample, state=None):
     """Exact gradient of the SAA free energy: (grad_λ, grad_v).
 
     For a basis T′ with centered value t′ on coordinate i,
@@ -94,12 +115,15 @@ def gradient(params, spec, target, sample):
 
     and the trace reduces to (diagonal partial of T′)/diag_i by the
     Sherman–Morrison structure of the triangular Jacobian.
+
+    ``state`` is the forward pass of ``params`` on ``sample`` as
+    :func:`free_energy` returned it; without it the pass is recomputed.
     """
-    st, _Vz = _transported(params, spec, target, sample)
+    st = state if state is not None else \
+        _transported(params, spec, target, sample)[0]
     n = sample.n
-    N, d, delta = spec.N, spec.d, spec.delta
-    inv_delta = 1.0 / delta
-    B = spec.breakpoints
+    N, d = spec.N, spec.d
+    inv_delta = 1.0 / spec.delta
     gV = target.grad(st.Z)
     mean_gV = _chunked_mean(gV)
     grad_v = mean_gV
@@ -108,47 +132,43 @@ def gradient(params, spec, target, sample):
     glam = np.zeros(spec.p)
     g0, g1, g2, g3, g4, g5 = spec.views(glam)
 
-    x1 = st.X[:, 0]
-    psi1 = np.clip((x1[:, None] - B[None, :]) * inv_delta, 0.0, 1.0)
-    g0[:] = psi1.T @ gV[:, 0] / n - c0 * mean_gV[0]
-    tr0 = np.zeros(N)
     sel = st.inbox1
-    np.add.at(tr0, st.k1[sel], inv_delta / st.diag[sel, 0])
-    g0 -= tr0 / n
+    g0[:] = _ramp_sums(st.k1, st.f1, gV[:, 0], (N,)) / n - c0 * mean_gV[0]
+    g0 -= np.bincount(st.k1[sel], weights=inv_delta / st.diag[sel, 0],
+                      minlength=N) / n
 
     for li in range(d - 1):
         i = li + 1
         gvi = gV[:, i]
-        xi = st.X[:, i]
         ki = st.ki[:, li]
+        fi = st.fi[:, li]
         inboxi = st.inboxi[:, li]
-        psii = np.clip((xi[:, None] - B[None, :]) * inv_delta, 0.0, 1.0)
 
         # M1/M2 potential terms, accumulated per (root cell j, leaf ramp m)
-        a1 = np.zeros((N, N))
-        a2 = np.zeros((N, N))
-        w = st.f1[sel]
-        np.add.at(a1, st.k1[sel], psii[sel] * (w * gvi[sel])[:, None])
-        np.add.at(a2, st.k1[sel], psii[sel] * ((1.0 - w) * gvi[sel])[:, None])
+        cell = st.k1[sel] * N + ki[sel]
+        w, g = st.f1[sel], gvi[sel]
+        a1 = _ramp_sums(cell, fi[sel], w * g, (N, N))
+        a2 = _ramp_sums(cell, fi[sel], (1.0 - w) * g, (N, N))
         # M1/M2 entropy traces: only the active (j, m) cell contributes
         sel2 = st.inbox1 & inboxi
-        t1 = np.zeros((N, N))
-        t2 = np.zeros((N, N))
+        cell = st.k1[sel2] * N + ki[sel2]
         wt = inv_delta / st.diag[sel2, i]
-        np.add.at(t1, (st.k1[sel2], ki[sel2]), st.f1[sel2] * wt)
-        np.add.at(t2, (st.k1[sel2], ki[sel2]), (1.0 - st.f1[sel2]) * wt)
-        g1[li][:, :] = (a1 - t1) / n - c1[li] * mean_gV[i]
-        g2[li][:, :] = (a2 - t2) / n - c2[li] * mean_gV[i]
+        t1 = np.bincount(cell, weights=st.f1[sel2] * wt, minlength=N * N)
+        t2 = np.bincount(cell, weights=(1.0 - st.f1[sel2]) * wt,
+                         minlength=N * N)
+        g1[li][:, :] = (a1 - t1.reshape(N, N)) / n - c1[li] * mean_gV[i]
+        g2[li][:, :] = (a2 - t2.reshape(N, N)) / n - c2[li] * mean_gV[i]
 
         # M3/M4 (x1 outside the box)
         for g_out, c_out, mask in ((g3, c3, st.hi), (g4, c4, st.lo)):
-            pot = psii.T @ (mask * gvi) / n
-            tr = np.zeros(N)
+            pot = _ramp_sums(ki[mask], fi[mask], gvi[mask], (N,)) / n
             sel3 = mask & inboxi
-            np.add.at(tr, ki[sel3], inv_delta / st.diag[sel3, i])
+            tr = np.bincount(ki[sel3], weights=inv_delta / st.diag[sel3, i],
+                             minlength=N)
             g_out[li][:] = pot - tr / n - c_out[li] * mean_gV[i]
 
         # M5: pure root column, zero entropy contribution
-        g5[li][:] = psi1.T @ gvi / n - c5[li] * mean_gV[i]
+        g5[li][:] = (_ramp_sums(st.k1, st.f1, gvi, (N,)) / n
+                     - c5[li] * mean_gV[i])
 
     return glam, grad_v

@@ -212,6 +212,9 @@ def run_pgd(target, spec, gram, config: PgdConfig, consts=None,
                              map_point(target))
     params = init.copy()
 
+    # fe is the report of the current point.  Its forward state feeds the
+    # next gradient and is dropped before each projection, so at most one
+    # state is alive and none while a projection runs.
     fe = free_energy(params, spec, target, sample)
     fvals = [fe.value]
     gnorms = []
@@ -222,7 +225,7 @@ def run_pgd(target, spec, gram, config: PgdConfig, consts=None,
 
     cur_step = h
     for it in range(config.max_iters):
-        glam, gv = gradient(params, spec, target, sample)
+        glam, gv = gradient(params, spec, target, sample, state=fe.state)
         nat = gram.solve(glam)
 
         # sticky step: halvings persist, with one doubling (capped at h)
@@ -230,22 +233,22 @@ def run_pgd(target, spec, gram, config: PgdConfig, consts=None,
         step = min(h, 2.0 * cur_step) if safeguard else h
         n_halved = 0
         while True:
+            fe = None
             lam_new, active_new = project_cone_q(
                 params.lam - step * nat, gram, spec.constrained,
                 warm_active=active, tol=config.proj_tol, return_active=True)
             v_new = params.v - step * gv
             trial = StarMapParams(params.alpha, lam_new, v_new)
             try:
-                fe_new = free_energy(trial, spec, target, sample)
+                fe = free_energy(trial, spec, target, sample)
             except (TargetOverflowError, ConeViolationError):
                 if n_halved >= MAX_HALVINGS:
                     raise
-                fe_new = None
-            if fe_new is not None and (
-                    fe_new.value <= fvals[-1] + 1e-12 or not safeguard):
+            if fe is not None and (
+                    fe.value <= fvals[-1] + 1e-12 or not safeguard):
                 break
             if n_halved >= MAX_HALVINGS:
-                if fe_new is None:
+                if fe is None:
                     raise OptimizerError(
                         "step halvings exhausted without a finite step")
                 break
@@ -259,7 +262,7 @@ def run_pgd(target, spec, gram, config: PgdConfig, consts=None,
                                    + float(dv @ dv))) / step
         params = trial
         active = active_new
-        fvals.append(fe_new.value)
+        fvals.append(fe.value)
         gnorms.append(theta_norm)
         halvings.append(n_halved)
         iters = it + 1

@@ -72,8 +72,8 @@ class RegularityConstants:
         return RegularityConstants(warnings=self.warnings, **vals)
 
 
-def _check_constants(ell, L, ell_root, L_root, L_mixed, warnings):
-    warnings = list(warnings)
+def _check_constants(ell, L, ell_root, L_root, L_mixed):
+    warnings = []
     if not np.isfinite(ell) or ell <= 0:
         warnings.append("leaf curvature lower bound nonpositive")
     if not np.isfinite(ell_root) or ell_root <= 0:
@@ -180,7 +180,7 @@ class GaussianTarget(TargetPotential):
             denom = ell - off.sum(axis=1).max()
             if denom > 0:
                 L_mixed = ell * np.abs(cross).max() / denom
-        consts = _check_constants(ell, L, ell_root, L_root, L_mixed, ())
+        consts = _check_constants(ell, L, ell_root, L_root, L_mixed)
         return consts.with_overrides(overrides)
 
 
@@ -289,11 +289,85 @@ def _abs_gram(X, c):
     return aX.T @ aX / c
 
 
+def _constants_from_overrides(family, overrides):
+    """Constants of a GLM whose log-partition curvature bounds are unknown.
+
+    Without both bounds nothing can be derived, so ``overrides`` must supply
+    every one of ell, L, ell_root and L_root.
+    """
+    consts = RegularityConstants(
+        ell=np.nan, L=np.nan, ell_root=np.nan, L_root=np.nan, L_mixed=None,
+        warnings=("log-partition curvature bounds unavailable; "
+                  "overrides required",))
+    out = consts.with_overrides(overrides)
+    if overrides is None or not np.isfinite(
+            [out.ell, out.L, out.ell_root, out.L_root]).all():
+        raise ValueError(
+            f"constants unavailable for family '{family.name}' "
+            "without overrides")
+    return out
+
+
+class _GlmTarget(TargetPotential):
+    """Data term shared by the GLM targets.
+
+    D(β) = Σᵢ ψ(Xᵢᵀβ)/c − wᵀβ with w = Xᵀy/c and dispersion c.  For the
+    linear family ψ(t) = t²/2, so D(β) = ½βᵀAβ − wᵀβ through the sufficient
+    statistic A = XᵀX/c, with gradient Aβ − w and constant Hessian A: O(k²)
+    per point, independent of the number of observations.  The other
+    families have no sufficient statistic and sum over the observations.
+    """
+
+    def __init__(self, X, y, family, dispersion, psi_lower):
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        y = np.atleast_1d(np.asarray(y, dtype=float))
+        if X.shape[0] != y.size:
+            raise ValueError("design and response sizes differ")
+        if dispersion <= 0:
+            raise ValueError("dispersion must be positive")
+        if isinstance(family, str):
+            family = LOG_PARTITIONS[family]
+        self.X = X
+        self.y = y
+        self.family = family
+        self.c = float(dispersion)
+        self.psi_lower = psi_lower
+        self.A = X.T @ X / self.c
+        self.w = X.T @ y / self.c
+        self._sufficient = family.name == "linear"
+
+    def _data_value(self, beta):
+        if self._sufficient:
+            quad = 0.5 * ((beta @ self.A) * beta).sum(axis=-1)
+        else:
+            quad = self.family.value(beta @ self.X.T).sum(axis=-1) / self.c
+        return quad - beta @ self.w
+
+    def _data_grad(self, beta):
+        if self._sufficient:
+            return beta @ self.A - self.w
+        return self.family.deriv(beta @ self.X.T) @ self.X / self.c - self.w
+
+    def _data_hessian(self, beta):
+        if self._sufficient:
+            return np.broadcast_to(self.A, beta.shape[:-1] + self.A.shape)
+        return np.einsum("...n,ni,nj->...ij",
+                         self.family.deriv2(beta @ self.X.T) / self.c,
+                         self.X, self.X)
+
+    def _psi_bounds(self):
+        """Curvature bounds (b, B) of ψ; either may be None."""
+        b = self.family.curv_lower
+        if b is None:
+            b = self.psi_lower
+        return b, self.family.curv_upper
+
+
 # ---------------------------------------------------------------------------
 # GLM with a location family of priors
 # ---------------------------------------------------------------------------
 
-class GlmLocationTarget(TargetPotential):
+class GlmLocationTarget(_GlmTarget):
     """GLM posterior with shared location parameter.
 
     Variable layout: z = (ϑ, β₁, …, β_k) with the location ϑ as the root;
@@ -307,26 +381,12 @@ class GlmLocationTarget(TargetPotential):
 
     def __init__(self, X, y, family="linear", dispersion=1.0,
                  prior=None, hyperprior=None, psi_lower=None):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        if X.shape[0] != y.size:
-            raise ValueError("design and response sizes differ")
-        if dispersion <= 0:
-            raise ValueError("dispersion must be positive")
-        if isinstance(family, str):
-            family = LOG_PARTITIONS[family]
-        self.X = X
-        self.y = y
-        self.family = family
-        self.c = float(dispersion)
+        super().__init__(X, y, family, dispersion, psi_lower)
         self.prior = prior if prior is not None else GaussianPrior(1.0)
         self.hyperprior = (hyperprior if hyperprior is not None
                            else GaussianPrior(1.0))
-        self.psi_lower = psi_lower
-        self.n_obs, self.k = X.shape
+        self.n_obs, self.k = self.X.shape
         self.d = self.k + 1
-        self.A = X.T @ X / self.c
-        self.w = X.T @ y / self.c
 
     def _split(self, z):
         z = self._check_dim(z)
@@ -334,57 +394,35 @@ class GlmLocationTarget(TargetPotential):
 
     def potential(self, z):
         theta, beta = self._split(z)
-        lin = beta @ self.X.T
         return (self.hyperprior.value(theta)
-                - beta @ self.w
-                + self.family.value(lin).sum(axis=-1) / self.c
+                + self._data_value(beta)
                 + self.prior.value(beta - theta[..., None]).sum(axis=-1))
 
     def grad(self, z):
         z = self._check_dim(z)
         theta, beta = z[..., 0], z[..., 1:]
-        lin = beta @ self.X.T
         dprior = self.prior.deriv(beta - theta[..., None])
         g = np.empty(z.shape, dtype=float)
         g[..., 0] = self.hyperprior.deriv(theta) - dprior.sum(axis=-1)
-        g[..., 1:] = (-self.w + self.family.deriv(lin) @ self.X / self.c
-                      + dprior)
+        g[..., 1:] = self._data_grad(beta) + dprior
         return g
 
     def hessian(self, z):
         theta, beta = self._split(z)
-        lin = beta @ self.X.T
         d2prior = self.prior.deriv2(beta - theta[..., None])
         H = np.zeros(np.shape(z)[:-1] + (self.d, self.d), dtype=float)
         H[..., 0, 0] = self.hyperprior.deriv2(theta) + d2prior.sum(axis=-1)
         H[..., 0, 1:] = -d2prior
         H[..., 1:, 0] = -d2prior
-        H[..., 1:, 1:] = (np.einsum("...n,ni,nj->...ij",
-                                    self.family.deriv2(lin) / self.c,
-                                    self.X, self.X)
+        H[..., 1:, 1:] = (self._data_hessian(beta)
                           + np.einsum('...j,jk->...jk', d2prior,
                                       np.eye(self.k)))
         return H
 
     def regularity_constants(self, overrides=None):
-        warnings = []
-        b = self.family.curv_lower
-        if b is None:
-            b = self.psi_lower
-        B = self.family.curv_upper
+        b, B = self._psi_bounds()
         if b is None or B is None:
-            warnings.append(
-                "log-partition curvature bounds unavailable; overrides required")
-            consts = RegularityConstants(
-                ell=np.nan, L=np.nan, ell_root=np.nan, L_root=np.nan,
-                L_mixed=None, warnings=tuple(warnings))
-            out = consts.with_overrides(overrides)
-            if overrides is None or not np.isfinite(
-                    [out.ell, out.L, out.ell_root, out.L_root]).all():
-                raise ValueError(
-                    f"constants unavailable for family '{self.family.name}' "
-                    "without overrides")
-            return out
+            return _constants_from_overrides(self.family, overrides)
         eigs = np.linalg.eigvalsh(self.A)
         a_lo, a_hi = eigs.min(), eigs.max()
         r_lo = self.prior.curv_lower
@@ -403,7 +441,7 @@ class GlmLocationTarget(TargetPotential):
             denom = ell - (off.max() if off.size else 0.0)
             if denom > 0:
                 L_mixed = ell * r_hi / denom
-        consts = _check_constants(ell, L, ell_root, L_root, L_mixed, warnings)
+        consts = _check_constants(ell, L, ell_root, L_root, L_mixed)
         return consts.with_overrides(overrides)
 
 
@@ -468,7 +506,7 @@ def mixture_log_concavity_bound(eta, tau0, tau1):
     return tau1 ** 2 - 2.0 * (tau0 ** 2 - tau1 ** 2) * np.log1p(zeta / np.e)
 
 
-class SpikeSlabGlmTarget(TargetPotential):
+class SpikeSlabGlmTarget(_GlmTarget):
     """GLM with a spike-and-slab prior on the leaf coefficients.
 
     Variable layout: z = (β₁, …, β_d) with β₁ (the coefficient of the first
@@ -483,10 +521,8 @@ class SpikeSlabGlmTarget(TargetPotential):
     def __init__(self, X, y, family="linear", dispersion=1.0,
                  eta=0.5, tau0=2.0, tau1=1.0, debias_precision=1.0,
                  psi_lower=None):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        if X.shape[0] != y.size:
-            raise ValueError("design and response sizes differ")
+        super().__init__(X, y, family, dispersion, psi_lower)
+        X = self.X
         if X.shape[1] < 2:
             raise ValueError("spike-slab target needs at least two columns")
         if not (0.0 <= eta <= 1.0):
@@ -496,73 +532,43 @@ class SpikeSlabGlmTarget(TargetPotential):
         norm1 = float(X[:, 0] @ X[:, 0])
         if norm1 <= 0:
             raise ValueError("first design column must be nonzero")
-        if isinstance(family, str):
-            family = LOG_PARTITIONS[family]
-        self.X = X
-        self.y = y
-        self.family = family
-        self.c = float(dispersion)
         self.eta = float(eta)
         self.tau0 = float(tau0)
         self.tau1 = float(tau1)
         self.tau2 = float(debias_precision)
-        self.psi_lower = psi_lower
         self.d = X.shape[1]
         self.gamma = X.T[1:] @ X[:, 0] / norm1
         self.cvec = np.concatenate(([1.0], self.gamma))
-        self.A = X.T @ X / self.c
-        self.w = X.T @ y / self.c
 
     def potential(self, z):
         z = self._check_dim(z)
-        lin = z @ self.X.T
         u = z @ self.cvec
-        return (self.family.value(lin).sum(axis=-1) / self.c
-                - z @ self.w
+        return (self._data_value(z)
                 + mixture_neglog(z[..., 1:], self.eta, self.tau0,
                                  self.tau1).sum(axis=-1)
                 + 0.5 * self.tau2 * u * u)
 
     def grad(self, z):
         z = self._check_dim(z)
-        lin = z @ self.X.T
         u = z @ self.cvec
-        g = self.family.deriv(lin) @ self.X / self.c - self.w
-        g = g + self.tau2 * u[..., None] * self.cvec
+        g = self._data_grad(z) + self.tau2 * u[..., None] * self.cvec
         g[..., 1:] += mixture_neglog_deriv(z[..., 1:], self.eta, self.tau0,
                                            self.tau1)
         return g
 
     def hessian(self, z):
         z = self._check_dim(z)
-        lin = z @ self.X.T
-        H = np.einsum("...n,ni,nj->...ij", self.family.deriv2(lin) / self.c,
-                      self.X, self.X)
-        H = H + self.tau2 * np.outer(self.cvec, self.cvec)
+        H = (self._data_hessian(z)
+             + self.tau2 * np.outer(self.cvec, self.cvec))
         xi2 = mixture_neglog_deriv2(z[..., 1:], self.eta, self.tau0, self.tau1)
         idx = np.arange(1, self.d)
         H[..., idx, idx] += xi2
         return H
 
     def regularity_constants(self, overrides=None):
-        warnings = []
-        b = self.family.curv_lower
-        if b is None:
-            b = self.psi_lower
-        B = self.family.curv_upper
+        b, B = self._psi_bounds()
         if b is None or B is None:
-            warnings.append(
-                "log-partition curvature bounds unavailable; overrides required")
-            consts = RegularityConstants(
-                ell=np.nan, L=np.nan, ell_root=np.nan, L_root=np.nan,
-                L_mixed=None, warnings=tuple(warnings))
-            out = consts.with_overrides(overrides)
-            if overrides is None or not np.isfinite(
-                    [out.ell, out.L, out.ell_root, out.L_root]).all():
-                raise ValueError(
-                    f"constants unavailable for family '{self.family.name}' "
-                    "without overrides")
-            return out
+            return _constants_from_overrides(self.family, overrides)
         eigs = np.linalg.eigvalsh(self.A)
         a_lo, a_hi = eigs.min(), eigs.max()
         A11 = self.A[0, 0]
@@ -588,7 +594,7 @@ class SpikeSlabGlmTarget(TargetPotential):
             denom = ell - (inter.sum(axis=1) - np.diag(inter)).max()
             if denom > 0:
                 L_mixed = ell * cross / denom
-        consts = _check_constants(ell, L, ell_root, L_root, L_mixed, warnings)
+        consts = _check_constants(ell, L, ell_root, L_root, L_mixed)
         return consts.with_overrides(overrides)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import ssvi
-from ssvi.objective import SaaSample, free_energy, gradient
+from ssvi.objective import SaaSample, _ramp_sums, free_energy, gradient
 
 from conftest import random_admissible_params
 
@@ -71,6 +71,24 @@ class TestFreeEnergy:
 
 
 class TestGradient:
+    def test_ramp_sums_match_dense_ramps(self, spec3):
+        # every sample, in or out of the box, against the dense ramp table
+        rng = np.random.default_rng(8)
+        x = rng.normal(0.0, 1.5, 500)
+        st = ssvi.objective.forward(ssvi.identity_params(spec3), spec3,
+                                    np.column_stack([x, x, x]))
+        ramps = np.clip((x[:, None] - spec3.breakpoints) / spec3.delta,
+                        0.0, 1.0)
+        w = rng.normal(size=500)
+        got = _ramp_sums(st.k1, st.f1, w, (spec3.N,))
+        np.testing.assert_allclose(got, ramps.T @ w, rtol=1e-12, atol=1e-12)
+        group = rng.integers(0, 3, 500)
+        got = _ramp_sums(group * spec3.N + st.k1, st.f1, w, (3, spec3.N))
+        for j in range(3):
+            np.testing.assert_allclose(got[j], ramps[group == j].T
+                                       @ w[group == j], rtol=1e-12,
+                                       atol=1e-12)
+
     def test_matches_finite_differences(self, gauss3_target, spec3, sample3):
         rng = np.random.default_rng(3)
         params = random_admissible_params(spec3, rng)
@@ -104,3 +122,13 @@ class TestGradient:
         glam, gv = gradient(params, spec, target, sample)
         assert np.abs(gv).max() < 0.01
         assert np.abs(glam).max() < 0.02
+
+    def test_reuses_free_energy_state_bit_exactly(self, gauss3_target, spec3,
+                                                  sample3):
+        params = random_admissible_params(spec3, np.random.default_rng(4))
+        fe = free_energy(params, spec3, gauss3_target, sample3)
+        glam, gv = gradient(params, spec3, gauss3_target, sample3,
+                            state=fe.state)
+        glam0, gv0 = gradient(params, spec3, gauss3_target, sample3)
+        assert np.array_equal(glam, glam0)
+        assert np.array_equal(gv, gv0)

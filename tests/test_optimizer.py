@@ -3,6 +3,7 @@ import pytest
 from scipy.optimize import lsq_linear
 
 import ssvi
+from ssvi import objective, optimizer
 from ssvi.optimizer import (PgdConfig, compute_upsilon, map_point,
                             project_cone_q, run_pgd)
 
@@ -139,3 +140,26 @@ class TestRunPgd:
         L = max(consts.L, consts.L_root / 2)
         assert np.isclose(res.step_size, 1.0 / (L + res.upsilon))
         assert np.all(np.diff(res.free_energy_trace) <= 1e-10)
+
+    def test_one_forward_pass_per_evaluated_point(self, gauss2_target,
+                                                  monkeypatch):
+        # criterion-12 config: gradient reuses the forward pass that
+        # free_energy made at the accepted point
+        calls = {"forward": 0, "free_energy": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(objective, "forward",
+                            counted("forward", objective.forward))
+        monkeypatch.setattr(optimizer, "free_energy",
+                            counted("free_energy", optimizer.free_energy))
+        spec = ssvi.build_dictionary(2, 2.0, 1.0)
+        cfg = PgdConfig(step_size=0.5, max_iters=25, n_samples=4000, seed=0)
+        res = run_pgd(gauss2_target, spec, ssvi.gram_matrix(spec), cfg)
+        assert res.iterations == 25
+        assert calls["free_energy"] >= res.iterations + 1
+        assert calls["forward"] == calls["free_energy"]

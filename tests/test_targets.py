@@ -6,6 +6,65 @@ from ssvi.targets import (LOG_PARTITIONS, mixture_neglog,
                           mixture_neglog_deriv, mixture_neglog_deriv2)
 
 
+# Oracle: the GLM targets with the data term D(β) = Σᵢ ψ(Xᵢᵀβ)/c − wᵀβ summed
+# over the observations, for every family.  The targets take the linear
+# family through the sufficient statistic XᵀX instead.
+
+def per_obs_potential(t, z):
+    z = np.asarray(z, dtype=float)
+    if isinstance(t, ssvi.GlmLocationTarget):
+        theta, beta = z[..., 0], z[..., 1:]
+        data = (t.family.value(beta @ t.X.T).sum(axis=-1) / t.c
+                - beta @ t.w)
+        return (t.hyperprior.value(theta) + data
+                + t.prior.value(beta - theta[..., None]).sum(axis=-1))
+    u = z @ t.cvec
+    data = t.family.value(z @ t.X.T).sum(axis=-1) / t.c - z @ t.w
+    return (data + mixture_neglog(z[..., 1:], t.eta, t.tau0,
+                                  t.tau1).sum(axis=-1)
+            + 0.5 * t.tau2 * u * u)
+
+
+def per_obs_grad(t, z):
+    z = np.asarray(z, dtype=float)
+    if isinstance(t, ssvi.GlmLocationTarget):
+        theta, beta = z[..., 0], z[..., 1:]
+        dprior = t.prior.deriv(beta - theta[..., None])
+        g = np.empty(z.shape)
+        g[..., 0] = t.hyperprior.deriv(theta) - dprior.sum(axis=-1)
+        g[..., 1:] = (t.family.deriv(beta @ t.X.T) @ t.X / t.c - t.w
+                      + dprior)
+        return g
+    u = z @ t.cvec
+    g = (t.family.deriv(z @ t.X.T) @ t.X / t.c - t.w
+         + t.tau2 * u[..., None] * t.cvec)
+    g[..., 1:] += mixture_neglog_deriv(z[..., 1:], t.eta, t.tau0, t.tau1)
+    return g
+
+
+def per_obs_hessian(t, z):
+    z = np.asarray(z, dtype=float)
+    if isinstance(t, ssvi.GlmLocationTarget):
+        theta, beta = z[..., 0], z[..., 1:]
+        data = np.einsum("...n,ni,nj->...ij",
+                         t.family.deriv2(beta @ t.X.T) / t.c, t.X, t.X)
+        d2prior = t.prior.deriv2(beta - theta[..., None])
+        H = np.zeros(z.shape[:-1] + (t.d, t.d))
+        H[..., 0, 0] = t.hyperprior.deriv2(theta) + d2prior.sum(axis=-1)
+        H[..., 0, 1:] = -d2prior
+        H[..., 1:, 0] = -d2prior
+        H[..., 1:, 1:] = data + np.einsum("...j,jk->...jk", d2prior,
+                                          np.eye(t.k))
+        return H
+    data = np.einsum("...n,ni,nj->...ij",
+                     t.family.deriv2(z @ t.X.T) / t.c, t.X, t.X)
+    H = data + t.tau2 * np.outer(t.cvec, t.cvec)
+    idx = np.arange(1, t.d)
+    H[..., idx, idx] += mixture_neglog_deriv2(z[..., 1:], t.eta, t.tau0,
+                                              t.tau1)
+    return H
+
+
 def fd_grad(f, z, h=1e-6):
     g = np.empty_like(z)
     for i in range(z.size):
@@ -233,3 +292,50 @@ class TestHelpers:
         p.write_text("1.0,2.0\n3.0,4.0\n")
         X = ssvi.load_design_csv(p)
         assert np.array_equal(X, [[1.0, 2.0], [3.0, 4.0]])
+
+
+def _random_glm(kind, family, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(200, 4)) * (0.3 if family == "poisson" else 1.0)
+    if family == "linear":
+        y = X @ rng.normal(size=4) + rng.normal(size=200)
+    elif family == "logistic":
+        y = (rng.uniform(size=200) < 0.5).astype(float)
+    else:
+        y = rng.poisson(1.0, 200).astype(float)
+    if kind == "location":
+        return ssvi.GlmLocationTarget(X, y, family=family, dispersion=1.7,
+                                      prior=ssvi.LogisticPrior(0.8))
+    return ssvi.SpikeSlabGlmTarget(X, y, family=family, dispersion=1.7,
+                                   eta=0.3, tau0=4.0, tau1=1.0,
+                                   debias_precision=0.6)
+
+
+class TestGlmDataTermOracle:
+    """Linear family through XᵀX against the per-observation formula."""
+
+    ORACLES = {"potential": per_obs_potential, "grad": per_obs_grad,
+               "hessian": per_obs_hessian}
+
+    @pytest.mark.parametrize("kind", ["location", "spike_slab"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_linear_matches_per_observation(self, kind, seed):
+        t = _random_glm(kind, "linear", seed)
+        rng = np.random.default_rng(100 + seed)
+        for z in (rng.normal(size=t.d), rng.normal(size=(50, t.d))):
+            for name, oracle in self.ORACLES.items():
+                got, want = getattr(t, name)(z), oracle(t, z)
+                assert np.shape(got) == np.shape(want)
+                np.testing.assert_allclose(
+                    got, want, rtol=1e-12,
+                    atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("kind", ["location", "spike_slab"])
+    @pytest.mark.parametrize("family", ["logistic", "poisson"])
+    def test_other_families_are_the_per_observation_formula(self, kind,
+                                                            family):
+        t = _random_glm(kind, family, 3)
+        rng = np.random.default_rng(7)
+        for z in (rng.normal(size=t.d), rng.normal(size=(50, t.d))):
+            for name, oracle in self.ORACLES.items():
+                assert np.array_equal(getattr(t, name)(z), oracle(t, z))
