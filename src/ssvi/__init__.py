@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .dictionary import (ORDERING_VERSION, BasisId, DictionaryDegenerateError,
                          DictionarySpec, GramMatrix, build_dictionary,
-                         gram_matrix, load_gram_bytes, ramp, save_gram_bytes)
+                         gram_matrix, ramp)
 from .diagnostics import (BoundCertificate, DiagnosticsError, ResidualReport,
                           approximation_bound, l2_map_distance,
                           pushforward_moments, self_consistency_residual)

@@ -1,4 +1,4 @@
-"""Batch front-end: fit / oracle-gaussian / diagnose / compare / bench.
+"""Batch front-end: fit / oracle-gaussian / diagnose / compare.
 
 Exit codes: 0 success, 2 configuration error (message names the offending
 field path), 3 runtime or optimizer error.  All primary outputs are
@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 import time
@@ -21,15 +20,12 @@ import numpy as np
 
 from . import __version__
 from .dictionary import ORDERING_VERSION, build_dictionary, gram_matrix
-from .diagnostics import (approximation_bound, l2_map_distance,
-                          pushforward_moments, self_consistency_residual)
-from .gaussian_oracle import (GaussianDist, closed_form_star_map,
-                              kl_gaussians, mfvi_gaussian, ssvi_gaussian,
-                              ssvi_mfvi_gap)
-from .objective import SaaSample, free_energy
+from .diagnostics import (approximation_bound, pushforward_moments,
+                          self_consistency_residual)
+from .gaussian_oracle import (GaussianDist, kl_gaussians, mfvi_gaussian,
+                              ssvi_gaussian, ssvi_mfvi_gap)
 from .optimizer import OptimizerError, PgdConfig, run_pgd
-from .starmap import (build_oracle_approximator, params_from_json,
-                      params_to_json)
+from .starmap import params_from_json, params_to_json
 from .targets import target_from_json
 
 
@@ -38,7 +34,7 @@ class ConfigError(ValueError):
 
 
 _TOP_KEYS = {"target", "dictionary", "optimizer", "diagnostics",
-             "output_dir", "seed", "bench"}
+             "output_dir", "seed"}
 
 
 def _load_config(path):
@@ -177,30 +173,31 @@ def _gaussian_target_or_fail(cfg):
     return target
 
 
-def cmd_oracle_gaussian(cfg, args):
-    target = _gaussian_target_or_fail(cfg)
+def _gaussian_oracle(target):
+    """Closed-form star and mean-field fits, their KLs and the exact gap."""
     star = ssvi_gaussian(target.mean, target.cov)
     bar = mfvi_gaussian(target.mean, target.cov)
     exact = GaussianDist(target.mean, target.cov)
-    out = _out_dir(cfg, args)
-    _write_json(os.path.join(out, "oracle.json"), {
+    return {
         "ssvi_cov": star.cov.tolist(),
         "mfvi_cov": bar.cov.tolist(),
         "kl_ssvi": kl_gaussians(star, exact),
         "kl_mfvi": kl_gaussians(bar, exact),
         "gap": ssvi_mfvi_gap(target.cov),
-    })
+    }
+
+
+def cmd_oracle_gaussian(cfg, args):
+    oracle = _gaussian_oracle(_gaussian_target_or_fail(cfg))
+    out = _out_dir(cfg, args)
+    _write_json(os.path.join(out, "oracle.json"), oracle)
     return 0
 
 
 def cmd_compare(cfg, args):
     target = _gaussian_target_or_fail(cfg)
-    star = ssvi_gaussian(target.mean, target.cov)
-    bar = mfvi_gaussian(target.mean, target.cov)
-    exact = GaussianDist(target.mean, target.cov)
-    kl_s = kl_gaussians(star, exact)
-    kl_m = kl_gaussians(bar, exact)
-    gap = ssvi_mfvi_gap(target.cov)
+    oracle = _gaussian_oracle(target)
+    kl_s, kl_m, gap = oracle["kl_ssvi"], oracle["kl_mfvi"], oracle["gap"]
 
     fit_gap = None
     if "optimizer" in cfg:
@@ -278,59 +275,6 @@ def cmd_diagnose(cfg, args):
     return 0
 
 
-def cmd_bench(cfg, args):
-    block = cfg.get("bench")
-    if not isinstance(block, dict):
-        raise ConfigError("bench: block required")
-    unknown = set(block) - {"d", "R", "delta", "rho", "mc_n"}
-    if unknown:
-        raise ConfigError(f"bench: unknown keys {sorted(unknown)}")
-    try:
-        ds = [int(v) for v in np.atleast_1d(block["d"])]
-        R = float(block["R"])
-        deltas = [float(v) for v in np.atleast_1d(block["delta"])]
-    except KeyError as exc:
-        raise ConfigError(f"bench.{exc.args[0]}: missing") from exc
-    rho = float(block.get("rho", 0.3))
-    mc_n = int(args.mc_samples or block.get("mc_n", 100000))
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-
-    out = _out_dir(cfg, args)
-    with open(os.path.join(out, "bench.csv"), "w", newline="") as fh:
-        _csv_header(fh)
-        w = csv.writer(fh)
-        w.writerow(["d", "R", "delta", "p", "gram_build_ms", "iter_ms",
-                    "l2_error_vs_oracle"])
-        for d in ds:
-            cov = np.full((d, d), rho) + (1.0 - rho) * np.eye(d)
-            target = target_from_json({"family": "gaussian",
-                                       "mean": [0.0] * d,
-                                       "cov": cov.tolist()})
-            tmap = closed_form_star_map(target.mean, target.cov)
-            for delta in deltas:
-                spec = build_dictionary(d, R, delta)
-                t0 = time.perf_counter()
-                gram = gram_matrix(spec)
-                gram_ms = 1000.0 * (time.perf_counter() - t0)
-                pgd = PgdConfig(max_iters=1, seed=seed,
-                                n_samples=min(mc_n, 5000),
-                                step_size=1e-3)
-                t0 = time.perf_counter()
-                run_pgd(target, spec, gram, pgd)
-                iter_ms = 1000.0 * (time.perf_counter() - t0)
-                approx = build_oracle_approximator(
-                    tmap, spec, _oracle_alpha(tmap))
-                err, _ = l2_map_distance(approx, tmap, spec, mc_n, seed)
-                w.writerow([d, repr(R), repr(delta), spec.p,
-                            repr(gram_ms), repr(iter_ms),
-                            repr(float(err))])
-    return 0
-
-
-def _oracle_alpha(tmap):
-    return np.concatenate(([tmap.root_scale], tmap.leaf_scale))
-
-
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
@@ -340,7 +284,6 @@ _COMMANDS = {
     "oracle-gaussian": cmd_oracle_gaussian,
     "diagnose": cmd_diagnose,
     "compare": cmd_compare,
-    "bench": cmd_bench,
 }
 
 
@@ -350,8 +293,7 @@ def _parser():
         description="Star-structured variational inference by convex "
                     "optimization over piecewise-linear transport maps.",
         epilog="Exit codes: 0 success, 2 configuration error, "
-               "3 runtime/optimizer error. Gram matrices are cached under "
-               "$SSVI_CACHE_DIR when set.")
+               "3 runtime/optimizer error.")
     sub = p.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         sp = sub.add_parser(name)

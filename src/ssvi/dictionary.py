@@ -21,9 +21,7 @@ Canonical ordering is class-major, then leaf index, then b′, then b
 
 from __future__ import annotations
 
-import os
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -33,9 +31,6 @@ from scipy.stats import norm
 
 ORDERING_VERSION = "class-major-v1"
 CLASSES = ("M0", "M1", "M2", "M3", "M4", "M5")
-
-GRAM_MAGIC = b"SSVIGRAM"
-GRAM_FORMAT_VERSION = 1
 
 
 def ramp(t):
@@ -461,45 +456,6 @@ def _leaf_shift(spec, li):
     ])
 
 
-def gram_matrix(spec: DictionarySpec, cache_dir=None) -> GramMatrix:
-    """Build (or load from cache) the Gram matrix of ``spec``.
-
-    ``cache_dir`` defaults to the SSVI_CACHE_DIR environment variable; when
-    set, the dense matrix is cached in the binary SSVIGRAM format keyed by
-    (d, R, δ, ordering_version).
-    """
-    if cache_dir is None:
-        cache_dir = os.environ.get("SSVI_CACHE_DIR")
-    path = None
-    if cache_dir:
-        key = (f"gram_d{spec.d}_R{spec.R:g}_delta{spec.delta:g}_"
-               f"{spec.ordering_version}.bin")
-        path = os.path.join(cache_dir, key)
-        if os.path.exists(path):
-            return GramMatrix(spec, load_gram_bytes(path, spec.p))
-    Q = _compute_gram(spec)
-    if path:
-        os.makedirs(cache_dir, exist_ok=True)
-        save_gram_bytes(path, Q)
-    return GramMatrix(spec, Q)
-
-
-def save_gram_bytes(path, Q):
-    p = Q.shape[0]
-    header = struct.pack("<8sII", GRAM_MAGIC, GRAM_FORMAT_VERSION, p)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(Q, dtype="<f8").tobytes())
-
-
-def load_gram_bytes(path, expected_p=None):
-    with open(path, "rb") as fh:
-        header = fh.read(16)
-        magic, version, p = struct.unpack("<8sII", header)
-        if magic != GRAM_MAGIC or version != GRAM_FORMAT_VERSION:
-            raise ValueError(f"not a Gram cache file: {path}")
-        if expected_p is not None and p != expected_p:
-            raise ValueError(
-                f"Gram cache size mismatch: file {p}, expected {expected_p}")
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    return data.reshape(p, p).astype(float)
+def gram_matrix(spec: DictionarySpec) -> GramMatrix:
+    """Build the Gram matrix of ``spec`` and its Cholesky factor."""
+    return GramMatrix(spec, _compute_gram(spec))

@@ -13,7 +13,7 @@ with default step size h = 1/(L + Υ), L = L_V ∨ (L'_V/2) and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +37,6 @@ class PgdConfig:
     proj_tol: float = 1e-10
     seed: int = 0
     n_samples: int = 20000
-    safeguard: bool | None = None  # None: on iff step_size overridden
 
     @classmethod
     def from_dict(cls, block):
@@ -195,13 +194,13 @@ def run_pgd(target, spec, gram, config: PgdConfig, consts=None,
     alpha_strong = min(consts.ell, consts.ell_root)
     kappa = (L + upsilon) / alpha_strong if alpha_strong > 0 else math.inf
 
+    # The default 1/(L+Υ) descends without halving unless the regularity
+    # constants carry warnings; a user-given step has no such guarantee.
+    safeguard = config.step_size is not None or bool(consts.warnings)
     if config.step_size is None:
         h = 1.0 / (L + upsilon)
-        safeguard = bool(config.safeguard) if config.safeguard is not None \
-            else bool(consts.warnings)
     else:
         h = float(config.step_size)
-        safeguard = True if config.safeguard is None else bool(config.safeguard)
     if h <= 0:
         raise ValueError("step size must be positive")
 
@@ -228,8 +227,8 @@ def run_pgd(target, spec, gram, config: PgdConfig, consts=None,
         glam, gv = gradient(params, spec, target, sample, state=fe.state)
         nat = gram.solve(glam)
 
-        # sticky step: halvings persist, with one doubling (capped at h)
-        # attempted after any non-halved accepted iteration
+        # sticky step: every iteration first tries double the last accepted
+        # step (capped at h), also right after an iteration that halved
         step = min(h, 2.0 * cur_step) if safeguard else h
         n_halved = 0
         while True:

@@ -67,9 +67,11 @@ class TestFit:
         assert "dictionary" in capsys.readouterr().err
 
     def test_unknown_key_exits_2(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, extra_block={"x": 1})
-        assert main(["fit", "--config", str(cfg)]) == 2
-        assert "unknown config keys" in capsys.readouterr().err
+        for key in ("extra_block", "bench"):
+            cfg = write_config(tmp_path, **{key: {"x": 1}})
+            assert main(["fit", "--config", str(cfg),
+                         "--out", str(tmp_path / "o")]) == 2
+            assert "unknown config keys" in capsys.readouterr().err
 
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["fit", "--config", str(tmp_path / "nope.json")]) == 2
@@ -154,22 +156,8 @@ class TestDiagnose:
                      "--out", str(tmp_path / "o")]) == 2
 
 
-class TestBench:
-    def test_sweep_csv(self, tmp_path):
-        cfg = write_config(tmp_path)
-        blob = json.loads(cfg.read_text())
-        blob.pop("dictionary")
-        blob.pop("optimizer")
-        blob["bench"] = {"d": [2, 3], "R": 2.0, "delta": [1.0, 0.5],
-                         "mc_n": 5000}
-        cfg.write_text(json.dumps(blob))
-        out = tmp_path / "out"
-        assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 0
-        rows = read_trace(out / "bench.csv")
-        assert len(rows) == 4
-        for r in rows:
-            d = int(r["d"])
-            N = int(round(2 * float(r["R"]) / float(r["delta"])))
-            assert int(r["p"]) == N + 2 * (d - 1) * N * N + 3 * (d - 1) * N
-            assert float(r["gram_build_ms"]) > 0
-            assert float(r["l2_error_vs_oracle"]) >= 0
+def test_bench_is_not_a_subcommand(tmp_path):
+    cfg = write_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2

@@ -112,26 +112,12 @@ class TestGram:
         dense = 1.0 / np.linalg.eigvalsh(coarse_gram.Q).min()
         assert np.isclose(coarse_gram.inv_norm, dense, rtol=1e-4)
 
-    def test_cache_roundtrip(self, tmp_path, coarse_spec, coarse_gram):
-        g1 = ssvi.gram_matrix(coarse_spec, cache_dir=str(tmp_path))
-        files = list(tmp_path.iterdir())
-        assert len(files) == 1
-        g2 = ssvi.gram_matrix(coarse_spec, cache_dir=str(tmp_path))
-        assert np.array_equal(g1.Q, g2.Q)
-        assert np.array_equal(g1.Q, coarse_gram.Q)
-
-    def test_binary_format_magic(self, tmp_path, coarse_gram):
-        path = tmp_path / "g.bin"
-        ssvi.save_gram_bytes(path, coarse_gram.Q)
-        assert path.read_bytes()[:8] == b"SSVIGRAM"
-        Q = ssvi.load_gram_bytes(path, coarse_gram.spec.p)
-        assert np.array_equal(Q, coarse_gram.Q)
-
-    def test_corrupt_file_rejected(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b"NOTAGRAM" + b"\x00" * 24)
-        with pytest.raises(ValueError):
-            ssvi.load_gram_bytes(path)
+    def test_no_disk_cache(self, tmp_path, monkeypatch, coarse_spec,
+                           coarse_gram):
+        monkeypatch.setenv("SSVI_CACHE_DIR", str(tmp_path))
+        g = ssvi.gram_matrix(coarse_spec)
+        assert list(tmp_path.iterdir()) == []
+        assert np.array_equal(g.Q, coarse_gram.Q)
 
 
 class TestJacobianSpectralBound:

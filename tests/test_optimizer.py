@@ -141,6 +141,18 @@ class TestRunPgd:
         assert np.isclose(res.step_size, 1.0 / (L + res.upsilon))
         assert np.all(np.diff(res.free_energy_trace) <= 1e-10)
 
+    def test_only_a_given_step_is_halved(self, gauss2_target):
+        spec = ssvi.build_dictionary(2, 2.0, 1.0)
+        gram = ssvi.gram_matrix(spec)
+        given = run_pgd(gauss2_target, spec, gram,
+                        PgdConfig(step_size=50.0, max_iters=5,
+                                  n_samples=1000, seed=0))
+        assert given.halving_trace.sum() >= 1
+        assert np.all(np.diff(given.free_energy_trace) <= 1e-10)
+        default = run_pgd(gauss2_target, spec, gram,
+                          PgdConfig(max_iters=5, n_samples=1000, seed=0))
+        assert not default.halving_trace.any()
+
     def test_one_forward_pass_per_evaluated_point(self, gauss2_target,
                                                   monkeypatch):
         # criterion-12 config: gradient reuses the forward pass that
