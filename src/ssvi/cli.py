@@ -53,7 +53,7 @@ def _load_config(path):
     return cfg
 
 
-def _build_dictionary(cfg):
+def _build_dictionary(cfg, d):
     block = cfg.get("dictionary")
     if not isinstance(block, dict):
         raise ConfigError("dictionary: block required")
@@ -61,7 +61,6 @@ def _build_dictionary(cfg):
     if unknown:
         raise ConfigError(f"dictionary: unknown keys {sorted(unknown)}")
     try:
-        d = _build_target(cfg).d
         return build_dictionary(d, block["R"], block["delta"])
     except KeyError as exc:
         raise ConfigError(f"dictionary.{exc.args[0]}: missing") from exc
@@ -93,6 +92,12 @@ def _pgd_config(cfg, args):
         return PgdConfig.from_dict(block)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"optimizer: {exc}") from exc
+
+
+def _fit(cfg, args, target, spec):
+    """Run the optimizer block of ``cfg`` on ``target`` over ``spec``."""
+    pgd = _pgd_config(cfg, args)
+    return run_pgd(target, spec, gram_matrix(spec), pgd)
 
 
 def _out_dir(cfg, args):
@@ -134,11 +139,9 @@ def _set_threads(n):
 
 def cmd_fit(cfg, args):
     target = _build_target(cfg)
-    spec = _build_dictionary(cfg)
-    pgd = _pgd_config(cfg, args)
-    gram = gram_matrix(spec)
+    spec = _build_dictionary(cfg, target.d)
     t0 = time.perf_counter()
-    result = run_pgd(target, spec, gram, pgd)
+    result = _fit(cfg, args, target, spec)
     runtime_ms = 1000.0 * (time.perf_counter() - t0)
     out = _out_dir(cfg, args)
 
@@ -201,10 +204,7 @@ def cmd_compare(cfg, args):
 
     fit_gap = None
     if "optimizer" in cfg:
-        spec = _build_dictionary(cfg)
-        pgd = _pgd_config(cfg, args)
-        gram = gram_matrix(spec)
-        result = run_pgd(target, spec, gram, pgd)
+        result = _fit(cfg, args, target, _build_dictionary(cfg, target.d))
         # KL of the fitted pushforward from a Gaussian target:
         # F̂ − d/2 + ½ log det Σ (the free energy misses only the target's
         # normalizing constant and the base entropy).
@@ -226,7 +226,7 @@ def cmd_compare(cfg, args):
 
 def cmd_diagnose(cfg, args):
     target = _build_target(cfg)
-    spec = _build_dictionary(cfg)
+    spec = _build_dictionary(cfg, target.d)
     dblock = dict(cfg.get("diagnostics", {}))
     unknown = set(dblock) - {"grid_sizes", "mc_n", "params_path"}
     if unknown:
@@ -239,9 +239,7 @@ def cmd_diagnose(cfg, args):
         with open(dblock["params_path"]) as fh:
             params, spec = params_from_json(json.load(fh), spec)
     else:
-        pgd = _pgd_config(cfg, args)
-        gram = gram_matrix(spec)
-        params = run_pgd(target, spec, gram, pgd).params
+        params = _fit(cfg, args, target, spec).params
 
     try:
         report = self_consistency_residual(params, spec, target,

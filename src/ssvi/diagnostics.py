@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gaussian_oracle import GaussianDist, kl_gaussians, ssvi_gaussian
-from .starmap import (StarMapParams, forward, invert_root,
+from .starmap import (StarMapParams, _map_1d, forward, invert_root,
                       leaf_conditional_logdensity, leaf_profile,
                       root_marginal_logdensity)
 
@@ -86,14 +86,6 @@ def _richardson(f, z, h=_FD_STEP):
     return (4.0 * d2 - d1) / 3.0
 
 
-def _leaf_apply(params, spec, mu, const, i, x):
-    """Evaluate the effective 1-D leaf map from ``leaf_profile`` output."""
-    from .starmap import _bucket, _prefix
-    cs = _prefix(mu)
-    k, f = _bucket(spec, np.asarray(x, dtype=float))
-    return params.alpha[i] * x + cs[k] + mu[k] * f + const
-
-
 def _conditional_sample(params, spec, z1, rng, mc_n, skip=None):
     """Draw mc_n points from the fitted measure conditioned on Z₁ = z₁.
 
@@ -109,8 +101,8 @@ def _conditional_sample(params, spec, z1, rng, mc_n, skip=None):
         if i == skip:
             continue
         mu, const = leaf_profile(params, spec, i, x1)
-        Z[:, i] = _leaf_apply(params, spec, mu, const, i,
-                              rng.standard_normal(mc_n))
+        Z[:, i] = _map_1d(spec, params.alpha[i], mu, const,
+                          rng.standard_normal(mc_n))[0]
     return Z, x1
 
 

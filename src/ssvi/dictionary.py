@@ -16,7 +16,9 @@ carried exclusively by the v parameter.  Coefficients for M0–M4 are
 constrained nonnegative; M5 coefficients are free.
 
 Canonical ordering is class-major, then leaf index, then b′, then b
-(``ORDERING_VERSION``); it is part of the on-disk format.
+(``ORDERING_VERSION``); it is part of the on-disk format.  Row ``li`` of
+``DictionarySpec.leaf_index`` lists leaf li+1's indices in that order, which
+is also the order of its (identical) Gram block.
 """
 
 from __future__ import annotations
@@ -111,12 +113,16 @@ class DictionarySpec:
             "M4": N + 2 * dm1 * N * N + dm1 * N,
             "M5": N + 2 * dm1 * N * N + 2 * dm1 * N,
         }
-        self.centering = self._build_centering()
-        self.coord = self._build_coord()
-        self.constrained = np.ones(self.p, dtype=bool)
-        self.constrained[self._off["M5"]:] = False
+        ends = [self._off[c] for c in CLASSES[1:]] + [self.p]
+        self.leaf_index = np.hstack([np.arange(a, b).reshape(dm1, -1)
+                                     for a, b in zip(ends, ends[1:])])
+        self.coord = np.zeros(self.p, dtype=np.intp)
+        self.coord[self.leaf_index] = np.arange(1, self.d)[:, None]
         self.tail_hi = 1.0 - ndtr(self.R)
         self.tail_lo = ndtr(-self.R)
+        self.centering = self._build_centering()
+        self.constrained = np.ones(self.p, dtype=bool)
+        self.constrained[self._off["M5"]:] = False
 
     # -- index bookkeeping ---------------------------------------------------
 
@@ -182,38 +188,16 @@ class DictionarySpec:
     # -- centering ------------------------------------------------------------
 
     def _build_centering(self):
-        N, dm1, B, delta = self.N, self.d - 1, self.breakpoints, self.delta
+        B, delta = self.breakpoints, self.delta
         rm = ramp_mean(B, delta)
-        up = cell_up_mean(B, delta)
-        down = cell_down_mean(B, delta)
-        hi = 1.0 - ndtr(self.R)
-        lo = ndtr(-self.R)
         c = np.empty(self.p)
-        c[:N] = rm
-        # leaf block, identical for every leaf: (j, m) layout for M1/M2
-        c1 = np.repeat(np.outer(up, rm).reshape(-1)[None, :], dm1, axis=0)
-        c2 = np.repeat(np.outer(down, rm).reshape(-1)[None, :], dm1, axis=0)
-        o = self._off
-        c[o["M1"]:o["M2"]] = c1.reshape(-1)
-        c[o["M2"]:o["M3"]] = c2.reshape(-1)
-        c[o["M3"]:o["M4"]] = np.tile(rm * hi, dm1)
-        c[o["M4"]:o["M5"]] = np.tile(rm * lo, dm1)
-        c[o["M5"]:] = np.tile(rm, dm1)
+        c[:self.N] = rm
+        # one leaf vector, identical for every leaf: (j, m) layout for M1/M2
+        c[self.leaf_index] = np.concatenate([
+            np.outer(cell_up_mean(B, delta), rm).reshape(-1),
+            np.outer(cell_down_mean(B, delta), rm).reshape(-1),
+            rm * self.tail_hi, rm * self.tail_lo, rm])
         return c
-
-    def _build_coord(self):
-        """Active coordinate of every basis (0 for M0, the leaf otherwise)."""
-        N, dm1 = self.N, self.d - 1
-        coord = np.empty(self.p, dtype=np.intp)
-        coord[:N] = 0
-        leaves = np.arange(1, self.d)
-        o = self._off
-        coord[o["M1"]:o["M2"]] = np.repeat(leaves, N * N)
-        coord[o["M2"]:o["M3"]] = np.repeat(leaves, N * N)
-        coord[o["M3"]:o["M4"]] = np.repeat(leaves, N)
-        coord[o["M4"]:o["M5"]] = np.repeat(leaves, N)
-        coord[o["M5"]:] = np.repeat(leaves, N)
-        return coord
 
     # -- pointwise basis evaluation (reference path; the map evaluator in
     #    starmap.py is the vectorized production path) -----------------------
@@ -406,54 +390,19 @@ class GramMatrix:
 
 
 def _compute_gram(spec: DictionarySpec) -> np.ndarray:
-    N, dm1 = spec.N, spec.d - 1
+    N = spec.N
     F, G = _factor_tables(spec)
     Q = np.zeros((spec.p, spec.p))
     c0 = spec.centering[:N]
     Q[:N, :N] = F[1:, 1:] - np.outer(c0, c0)
     fidx, gidx = _leaf_factor_indices(spec)
-    q = fidx.size
-    off = spec._off["M1"]
-    leaf_c = np.concatenate([
-        spec.centering[spec._off["M1"]:spec._off["M1"] + N * N],
-        spec.centering[spec._off["M2"]:spec._off["M2"] + N * N],
-        spec.centering[spec._off["M3"]:spec._off["M3"] + N],
-        spec.centering[spec._off["M4"]:spec._off["M4"] + N],
-        spec.centering[spec._off["M5"]:spec._off["M5"] + N],
-    ])
+    leaf_c = spec.centering[spec.leaf_index[0]]
     block = F[np.ix_(fidx, fidx)] * G[np.ix_(gidx, gidx)] \
         - np.outer(leaf_c, leaf_c)
-    # scatter the identical leaf block into the class-major layout
-    sl = _leaf_slots(spec)
-    for li in range(dm1):
-        idx = sl + _leaf_shift(spec, li)
+    # the d−1 leaf blocks are identical
+    for idx in spec.leaf_index:
         Q[np.ix_(idx, idx)] = block
     return 0.5 * (Q + Q.T)
-
-
-def _leaf_slots(spec):
-    """Global indices of leaf 0's block entries, in leaf-block order."""
-    N = spec.N
-    o = spec._off
-    return np.concatenate([
-        np.arange(o["M1"], o["M1"] + N * N),
-        np.arange(o["M2"], o["M2"] + N * N),
-        np.arange(o["M3"], o["M3"] + N),
-        np.arange(o["M4"], o["M4"] + N),
-        np.arange(o["M5"], o["M5"] + N),
-    ])
-
-
-def _leaf_shift(spec, li):
-    """Offsets that move leaf-0 block indices to leaf ``li``."""
-    N = spec.N
-    return np.concatenate([
-        np.full(N * N, li * N * N, dtype=np.intp),
-        np.full(N * N, li * N * N, dtype=np.intp),
-        np.full(N, li * N, dtype=np.intp),
-        np.full(N, li * N, dtype=np.intp),
-        np.full(N, li * N, dtype=np.intp),
-    ])
 
 
 def gram_matrix(spec: DictionarySpec) -> GramMatrix:

@@ -211,52 +211,54 @@ def inverse_trace_weight(jac: JacobianSketch, partials, coord):
 _HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 
 
-def _root_pieces(params, spec):
+def _map_1d(spec, a, mu, const, x):
+    """Value and slope of the 1-D map a·x + Σ_m mu_m ψ((x−b_m)/δ) + const."""
+    k, f = _bucket(spec, x)
+    val = a * x + _prefix(mu)[k] + mu[k] * f + const
+    inbox = (x >= -spec.R) & (x < spec.R)
+    return val, a + inbox * mu[k] / spec.delta
+
+
+def _invert_1d(spec, a, mu, const, z):
+    """x with _map_1d(x) = z by bisection (tol 1e−12, max 200 iterations)."""
+    lo = (z - const - float(mu.sum())) / a - 1e-9
+    hi = (z - const) / a + 1e-9
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        below = _map_1d(spec, a, mu, const, mid)[0] < z
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+        if np.max(hi - lo) < 1e-12:
+            break
+    return 0.5 * (lo + hi)
+
+
+def _logdensity_1d(spec, a, mu, const, z):
+    """log-density at z of the 1-D map's pushforward of N(0, 1)."""
+    z = np.asarray(z, dtype=float)
+    x = _invert_1d(spec, a, mu, const, np.atleast_1d(z))
+    slope = _map_1d(spec, a, mu, const, x)[1]
+    out = -0.5 * x * x - _HALF_LOG_2PI - np.log(slope)
+    return float(out[0]) if z.ndim == 0 else out
+
+
+def _root_1d(params, spec):
+    """The root map T₁ as (a, mu, const) of ``_map_1d``."""
     lam0 = spec.views(params.lam)[0]
-    off0 = float(lam0 @ spec.centering[:spec.N])
-    return lam0, _prefix(lam0), params.v[0] - off0
-
-
-def _root_apply(params, spec, x1, lam0, cs0, shift):
-    k, f = _bucket(spec, x1)
-    val = params.alpha[0] * x1 + cs0[k] + lam0[k] * f + shift
-    inbox = (x1 >= -spec.R) & (x1 < spec.R)
-    slope = params.alpha[0] + inbox * lam0[k] / spec.delta
-    return val, slope
+    offset = float(lam0 @ spec.centering[:spec.N])
+    return params.alpha[0], lam0, params.v[0] - offset
 
 
 def invert_root(params, spec, z1):
     """x₁ = T₁⁻¹(z₁) by bisection (tol 1e−12, max 200 iterations)."""
     z1 = np.asarray(z1, dtype=float)
-    scalar = z1.ndim == 0
-    z = np.atleast_1d(z1)
-    lam0, cs0, shift = _root_pieces(params, spec)
-    total = float(lam0.sum())
-    a0 = params.alpha[0]
-    lo = (z - shift - total) / a0 - 1e-9
-    hi = (z - shift) / a0 + 1e-9
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        val, _ = _root_apply(params, spec, mid, lam0, cs0, shift)
-        below = val < z
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-        if np.max(hi - lo) < 1e-12:
-            break
-    x = 0.5 * (lo + hi)
-    return float(x[0]) if scalar else x
+    x = _invert_1d(spec, *_root_1d(params, spec), np.atleast_1d(z1))
+    return float(x[0]) if z1.ndim == 0 else x
 
 
 def root_marginal_logdensity(params, spec, z1):
     """log p*(z₁) of the pushforward root marginal."""
-    z1 = np.asarray(z1, dtype=float)
-    scalar = z1.ndim == 0
-    z = np.atleast_1d(z1)
-    lam0, cs0, shift = _root_pieces(params, spec)
-    x = np.atleast_1d(invert_root(params, spec, z))
-    _, slope = _root_apply(params, spec, x, lam0, cs0, shift)
-    out = -0.5 * x * x - _HALF_LOG_2PI - np.log(slope)
-    return float(out[0]) if scalar else out
+    return _logdensity_1d(spec, *_root_1d(params, spec), z1)
 
 
 def leaf_profile(params, spec, i, x1):
@@ -272,8 +274,8 @@ def leaf_profile(params, spec, i, x1):
     _, lam1, lam2, lam3, lam4, lam5 = spec.views(params.lam)
     k1, f1 = _bucket(spec, np.asarray([x1]))
     k1, f1 = int(k1[0]), float(f1[0])
-    off_i = float(
-        np.sum((params.lam * spec.centering)[spec.coord == i]))
+    idx = spec.leaf_index[li]
+    off_i = float(np.sum(params.lam[idx] * spec.centering[idx]))
     cs5 = _prefix(lam5[li])
     const = params.v[i] - off_i + cs5[k1] + lam5[li][k1] * f1
     if x1 >= spec.R:
@@ -289,29 +291,7 @@ def leaf_conditional_logdensity(params, spec, i, z_i, z1):
     """log q_i*(z_i | z₁) of the pushforward leaf conditional."""
     x1 = invert_root(params, spec, float(z1))
     mu, const = leaf_profile(params, spec, i, x1)
-    cs = _prefix(mu)
-    total = float(mu.sum())
-    a = params.alpha[i]
-
-    z = np.atleast_1d(np.asarray(z_i, dtype=float))
-    scalar = np.asarray(z_i).ndim == 0
-    lo = (z - const - total) / a - 1e-9
-    hi = (z - const) / a + 1e-9
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        k, f = _bucket(spec, mid)
-        val = a * mid + cs[k] + mu[k] * f + const
-        below = val < z
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-        if np.max(hi - lo) < 1e-12:
-            break
-    x = 0.5 * (lo + hi)
-    k, _ = _bucket(spec, x)
-    inbox = (x >= -spec.R) & (x < spec.R)
-    slope = a + inbox * mu[k] / spec.delta
-    out = -0.5 * x * x - _HALF_LOG_2PI - np.log(slope)
-    return float(out[0]) if scalar else out
+    return _logdensity_1d(spec, params.alpha[i], mu, const, z_i)
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +339,8 @@ def build_oracle_approximator(t_star, spec: DictionarySpec, alpha,
         lam4[li][:] = D[:, 0]            # clamped below −R
         lam3[li][:] = D[:, N]            # clamped above R
         lam5[li][:] = np.diff(Gi[0])     # root-ramp baseline, sign-free
-        sel = spec.coord == i
-        v[i] = Gi[0, 0] + float(lam[sel] @ spec.centering[sel])
+        idx = spec.leaf_index[li]
+        v[i] = Gi[0, 0] + float(lam[idx] @ spec.centering[idx])
 
     return StarMapParams(alpha, lam, v)
 

@@ -635,7 +635,7 @@ def _make_prior(block):
     raise ValueError(f"unknown prior type: {kind}")
 
 
-def _load_design(block, base=None):
+def _load_design(block):
     if "design" in block:
         return np.asarray(block["design"], dtype=float)
     if "design_csv" in block:

@@ -161,3 +161,24 @@ def test_bench_is_not_a_subcommand(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["bench", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command",
+                         ["fit", "oracle-gaussian", "compare", "diagnose"])
+def test_target_built_once(tmp_path, monkeypatch, command):
+    import ssvi.cli
+    calls = []
+    real = ssvi.cli.target_from_json
+
+    def counting(block):
+        calls.append(block)
+        return real(block)
+
+    monkeypatch.setattr(ssvi.cli, "target_from_json", counting)
+    cfg = write_config(tmp_path,
+                       optimizer={"step_size": 0.5, "max_iters": 2,
+                                  "n_samples": 500},
+                       diagnostics={"grid_sizes": [3, 3], "mc_n": 100})
+    assert main([command, "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == 1

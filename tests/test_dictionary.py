@@ -4,7 +4,7 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 import ssvi
-from ssvi.dictionary import (BasisId, DictionaryDegenerateError,
+from ssvi.dictionary import (DictionaryDegenerateError, GramMatrix,
                              cell_down_mean, cell_up_mean, ramp_mean)
 
 
@@ -99,6 +99,22 @@ class TestGram:
     def test_off_coordinate_blocks_zero(self, coarse_spec, coarse_gram):
         diff = coarse_spec.coord[:, None] != coarse_spec.coord[None, :]
         assert np.abs(coarse_gram.Q[diff]).max() == 0.0
+
+    def test_leaf_blocks_identical(self):
+        spec = ssvi.build_dictionary(4, 1.0, 0.5)
+        Q = ssvi.gram_matrix(spec).Q
+        first = spec.leaf_index[0]
+        assert spec.leaf_index.shape == (3, 2 * spec.N ** 2 + 3 * spec.N)
+        for li, idx in enumerate(spec.leaf_index):
+            assert np.array_equal(idx, np.flatnonzero(spec.coord == li + 1))
+            assert np.array_equal(Q[np.ix_(idx, idx)],
+                                  Q[np.ix_(first, first)])
+            assert np.array_equal(spec.centering[idx],
+                                  spec.centering[first])
+
+    def test_not_positive_definite_raises(self, coarse_spec):
+        with pytest.raises(DictionaryDegenerateError):
+            GramMatrix(coarse_spec, -np.eye(coarse_spec.p))
 
     def test_solve_and_inverse(self, coarse_gram):
         rng = np.random.default_rng(2)

@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import norm
 
 import ssvi
-from ssvi.starmap import forward, jacobian, leaf_profile
+from ssvi.starmap import _map_1d, jacobian, leaf_profile
 
 from conftest import random_admissible_params
 
@@ -116,13 +116,16 @@ class TestDensities:
         assert np.allclose(back, x, atol=1e-9)
 
     def test_leaf_conditional_normalizes(self, spec3, rand_params):
-        # numeric integral of exp(log q_i(z|z1)) over z equals 1
+        # numeric integrals of exp(log q_i(z|z1)) and exp(log p*(z)) over z
+        # equal 1 (the root map is non-affine under rand_params)
         z1 = 0.4
         zs = np.linspace(-12, 12, 4001)
         logq = ssvi.leaf_conditional_logdensity(rand_params, spec3, 1,
                                                 zs, z1)
         mass = np.trapezoid(np.exp(logq), zs)
         assert np.isclose(mass, 1.0, atol=1e-3)
+        logp = ssvi.root_marginal_logdensity(rand_params, spec3, zs)
+        assert np.isclose(np.trapezoid(np.exp(logp), zs), 1.0, atol=1e-3)
 
     def test_leaf_profile_reconstructs_map(self, spec3, rand_params):
         x1 = 0.7
@@ -132,10 +135,7 @@ class TestDensities:
         X[:, 0] = x1
         X[:, 2] = xi
         expect = ssvi.map_eval(rand_params, spec3, X)[:, 2]
-        from ssvi.starmap import _bucket, _prefix
-        cs = _prefix(mu)
-        k, f = _bucket(spec3, xi)
-        got = rand_params.alpha[2] * xi + cs[k] + mu[k] * f + const
+        got = _map_1d(spec3, rand_params.alpha[2], mu, const, xi)[0]
         assert np.allclose(got, expect, atol=1e-12)
 
 
