@@ -344,67 +344,120 @@ def _leaf_factor_indices(spec: DictionarySpec):
 
 
 class GramMatrix:
-    """Dense Gram matrix Q of the centered dictionary under ρ = N(0, I)."""
+    """Gram matrix Q of the centered dictionary under ρ = N(0, I), by block.
 
-    def __init__(self, spec: DictionarySpec, Q: np.ndarray):
+    Q is block-diagonal by coordinate: the N×N root block ``Q_root`` on the
+    M0 coefficients, then d−1 identical leaf blocks ``Q_leaf``, one on each
+    row of ``spec.leaf_index``.  Only the two distinct blocks and their
+    Cholesky factors are stored, so memory does not grow with d.  The dense
+    p×p ``Q`` is built on first access, for inspection only.
+    """
+
+    def __init__(self, spec: DictionarySpec, Q_root: np.ndarray,
+                 Q_leaf: np.ndarray):
         self.spec = spec
-        self.Q = Q
+        self.Q_root = Q_root
+        self.Q_leaf = Q_leaf
         try:
-            self._cho = cho_factor(Q, lower=True)
+            self._cho_root = cho_factor(Q_root, lower=True)
+            self._cho_leaf = cho_factor(Q_leaf, lower=True)
         except np.linalg.LinAlgError as exc:
             raise DictionaryDegenerateError(
                 "Gram matrix not positive definite") from exc
         self._inv = None
         self._inv_norm = None
+        self._Q = None
+
+    def _by_block(self, x, root_op, leaf_op):
+        """Apply ``root_op`` to x's root slice and ``leaf_op`` to its leaf
+        slices, the d−1 leaves as the columns of one right-hand side."""
+        x = np.asarray(x, dtype=float)
+        N, idx = self.spec.N, self.spec.leaf_index
+        out = np.empty_like(x)
+        out[:N] = root_op(x[:N])
+        out[idx] = leaf_op(x[idx].T).T
+        return out
 
     def solve(self, x):
-        """Q⁻¹ x via the cached Cholesky factor."""
-        return cho_solve(self._cho, x)
+        """Q⁻¹ x via the cached block Cholesky factors."""
+        return self._by_block(x, lambda b: cho_solve(self._cho_root, b),
+                              lambda b: cho_solve(self._cho_leaf, b))
+
+    def matvec(self, x):
+        """Q x, one product per block."""
+        return self._by_block(x, lambda b: self.Q_root @ b,
+                              lambda b: self.Q_leaf @ b)
+
+    def blocks(self):
+        """(indices, Q block, Q⁻¹ block) of the root, then of each leaf."""
+        W_root, W_leaf = self.inverse
+        yield np.arange(self.spec.N), self.Q_root, W_root
+        for idx in self.spec.leaf_index:
+            yield idx, self.Q_leaf, W_leaf
 
     @property
     def inverse(self):
-        """Dense Q⁻¹ (computed once; used by the cone projection)."""
+        """(Q_root⁻¹, Q_leaf⁻¹), computed once; used by the cone projection."""
         if self._inv is None:
-            W = cho_solve(self._cho, np.eye(self.spec.p))
-            self._inv = 0.5 * (W + W.T)
+            self._inv = tuple(_symmetric_inverse(cho)
+                              for cho in (self._cho_root, self._cho_leaf))
         return self._inv
 
     @property
     def inv_norm(self):
-        """‖Q⁻¹‖₂ by power iteration on Cholesky solves (rel. tol 1e−6)."""
+        """‖Q⁻¹‖₂: the larger of the two blocks' power iterations."""
         if self._inv_norm is None:
-            rng = np.random.default_rng(0)
-            v = rng.standard_normal(self.spec.p)
-            v /= np.linalg.norm(v)
-            lam = 0.0
-            for _ in range(500):
-                y = cho_solve(self._cho, v)
-                lam_new = float(np.linalg.norm(y))
-                v = y / lam_new
-                if abs(lam_new - lam) <= 1e-6 * lam_new:
-                    lam = lam_new
-                    break
-                lam = lam_new
-            self._inv_norm = lam
+            self._inv_norm = max(_power_inv_norm(self._cho_root),
+                                 _power_inv_norm(self._cho_leaf))
         return self._inv_norm
 
+    @property
+    def Q(self):
+        """Dense p×p Q, assembled from the blocks on first access."""
+        if self._Q is None:
+            N = self.spec.N
+            Q = np.zeros((self.spec.p, self.spec.p))
+            Q[:N, :N] = self.Q_root
+            for idx in self.spec.leaf_index:
+                Q[np.ix_(idx, idx)] = self.Q_leaf
+            self._Q = Q
+        return self._Q
 
-def _compute_gram(spec: DictionarySpec) -> np.ndarray:
+
+def _symmetric_inverse(cho):
+    W = cho_solve(cho, np.eye(cho[0].shape[0]))
+    return 0.5 * (W + W.T)
+
+
+def _power_inv_norm(cho):
+    """‖A⁻¹‖₂ by power iteration on Cholesky solves (rel. tol 1e−6)."""
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal(cho[0].shape[0])
+    v /= np.linalg.norm(v)
+    lam = 0.0
+    for _ in range(500):
+        y = cho_solve(cho, v)
+        lam_new = float(np.linalg.norm(y))
+        v = y / lam_new
+        if abs(lam_new - lam) <= 1e-6 * lam_new:
+            return lam_new
+        lam = lam_new
+    return lam
+
+
+def _compute_gram(spec: DictionarySpec):
+    """The two distinct blocks of Q: (Q_root, Q_leaf)."""
     N = spec.N
     F, G = _factor_tables(spec)
-    Q = np.zeros((spec.p, spec.p))
     c0 = spec.centering[:N]
-    Q[:N, :N] = F[1:, 1:] - np.outer(c0, c0)
+    Q_root = F[1:, 1:] - np.outer(c0, c0)
     fidx, gidx = _leaf_factor_indices(spec)
     leaf_c = spec.centering[spec.leaf_index[0]]
-    block = F[np.ix_(fidx, fidx)] * G[np.ix_(gidx, gidx)] \
+    Q_leaf = F[np.ix_(fidx, fidx)] * G[np.ix_(gidx, gidx)] \
         - np.outer(leaf_c, leaf_c)
-    # the d−1 leaf blocks are identical
-    for idx in spec.leaf_index:
-        Q[np.ix_(idx, idx)] = block
-    return 0.5 * (Q + Q.T)
+    return 0.5 * (Q_root + Q_root.T), 0.5 * (Q_leaf + Q_leaf.T)
 
 
 def gram_matrix(spec: DictionarySpec) -> GramMatrix:
-    """Build the Gram matrix of ``spec`` and its Cholesky factor."""
-    return GramMatrix(spec, _compute_gram(spec))
+    """Build the two Gram blocks of ``spec`` and their Cholesky factors."""
+    return GramMatrix(spec, *_compute_gram(spec))

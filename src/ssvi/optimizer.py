@@ -8,6 +8,11 @@ The parameter θ = (λ, v) lives in the product of the coefficient cone
 
 with default step size h = 1/(L + Υ), L = L_V ∨ (L'_V/2) and
 Υ = 9δ⁻²((L'_V)^{1/2} + (d−1)L_V^{1/2})²‖Q⁻¹‖₂.
+
+Q is block-diagonal by coordinate (one root block, d−1 identical leaf
+blocks) and the cone is a product of per-coordinate cones, so the solve
+Q⁻¹∇, the Θ-norm and the projection all run one block at a time; no dense
+p×p array is formed.
 """
 
 from __future__ import annotations
@@ -77,24 +82,51 @@ def project_cone_q(z, gram, constrained, warm_active=None, tol=1e-10,
                    return_active=False):
     """argmin_{θ: θ_i ≥ 0 for i constrained} ‖θ − z‖_Q².
 
-    Primal active-set method.  Equality-constrained subproblems are solved
-    through the precomputed dense W = Q⁻¹ via the block-inverse identity
-    Q_FF⁻¹ Q_FA = −W_FA W_AA⁻¹, so a working set A costs O(p·|A|² + |A|³).
-    Terminates with KKT residual below ``tol``.
+    Q is block-diagonal by coordinate and the cone is a product of
+    per-coordinate cones, so the problem splits into one QP per block of
+    ``gram.blocks()``: the root, then the d−1 leaves, which share one Q and
+    one W = Q⁻¹ block.  Each is solved by ``_project_block`` and
+    warm-started from its slice of ``warm_active`` (global indices, as is
+    the returned active set).  Terminates with KKT residual below ``tol``,
+    checked on the assembled θ.
     """
     z = np.asarray(z, dtype=float)
-    Q = gram.Q
-    W = gram.inverse
-    p = z.size
     constrained = np.asarray(constrained, dtype=bool)
 
-    active = np.zeros(p, dtype=bool)
+    active = np.zeros(z.size, dtype=bool)
     if warm_active is None:
         active[constrained & (z < 0)] = True
     else:
         for a in warm_active:
             if constrained[a]:
                 active[a] = True
+
+    theta = np.empty_like(z)
+    for idx, Q, W in gram.blocks():
+        block_active = active[idx]
+        theta[idx] = _project_block(z[idx], Q, W, constrained[idx],
+                                    block_active, tol)
+        active[idx] = block_active
+
+    theta[constrained & (np.abs(theta) < 1e-15)] = 0.0
+    g = gram.matvec(theta - z)
+    resid = float(np.abs(g[~active]).max(initial=0.0))
+    if resid > tol * max(1.0, float(np.abs(gram.matvec(z)).max())):
+        raise OptimizerError(f"projection KKT residual {resid:.2e}")
+    if return_active:
+        return theta, set(np.flatnonzero(active))
+    return theta
+
+
+def _project_block(z, Q, W, constrained, active, tol):
+    """Projection onto one block's cone; ``active`` is updated in place.
+
+    Primal active-set method.  Equality-constrained subproblems are solved
+    through the block's W = Q⁻¹ via the block-inverse identity
+    Q_FF⁻¹ Q_FA = −W_FA W_AA⁻¹, so a working set A costs
+    O(m·|A|² + |A|³) on a block of size m.
+    """
+    m = z.size
 
     def subproblem(active_mask):
         """Optimum with θ_A = 0: θ_F = z_F − W_FA W_AA⁻¹ z_A."""
@@ -112,10 +144,9 @@ def project_cone_q(z, gram, constrained, warm_active=None, tol=1e-10,
 
     # Block principal pivoting: flip every violated index per sweep, falling
     # back to single-index pivots if the infeasibility count stalls.
-    best_infeas = p + 1
+    best_infeas = m + 1
     block_budget = 30
-    max_iter = 10 * p + 100
-    theta = None
+    max_iter = 10 * m + 100
     for _ in range(max_iter):
         theta = subproblem(active)
         mu = Q @ (theta - z)
@@ -123,7 +154,7 @@ def project_cone_q(z, gram, constrained, warm_active=None, tol=1e-10,
         dual = active & (mu < -tol)
         n_infeas = int(primal.sum() + dual.sum())
         if n_infeas == 0:
-            break
+            return theta
         if n_infeas < best_infeas:
             best_infeas = n_infeas
             block_budget = 30
@@ -137,17 +168,7 @@ def project_cone_q(z, gram, constrained, warm_active=None, tol=1e-10,
             cand = np.where(primal, theta, np.where(dual, mu, 0.0))
             k = int(np.argmin(cand))
             active[k] = not active[k]
-    else:
-        raise OptimizerError("projection active-set did not converge")
-
-    theta[constrained & (np.abs(theta) < 1e-15)] = 0.0
-    g = Q @ (theta - z)
-    resid = float(np.abs(g[~active]).max(initial=0.0))
-    if resid > tol * max(1.0, float(np.abs(Q @ z).max())):
-        raise OptimizerError(f"projection KKT residual {resid:.2e}")
-    if return_active:
-        return theta, set(np.flatnonzero(active))
-    return theta
+    raise OptimizerError("projection active-set did not converge")
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +278,7 @@ def run_pgd(target, spec, gram, config: PgdConfig, consts=None,
 
         dlam = trial.lam - params.lam
         dv = trial.v - params.v
-        theta_norm = math.sqrt(max(0.0, float(dlam @ (gram.Q @ dlam))
+        theta_norm = math.sqrt(max(0.0, float(dlam @ gram.matvec(dlam))
                                    + float(dv @ dv))) / step
         params = trial
         active = active_new

@@ -16,6 +16,12 @@ def coarse_gram(coarse_spec):
 
 
 @pytest.fixture(scope="session")
+def d4_gram():
+    """Gram matrix with three leaf blocks (d=4, R=1, delta=0.5, p=136)."""
+    return ssvi.gram_matrix(ssvi.build_dictionary(4, 1.0, 0.5))
+
+
+@pytest.fixture(scope="session")
 def gauss2_target():
     return ssvi.GaussianTarget(np.zeros(2), np.array([[1.0, 0.5], [0.5, 1.0]]))
 

@@ -112,21 +112,34 @@ class TestGram:
             assert np.array_equal(spec.centering[idx],
                                   spec.centering[first])
 
-    def test_not_positive_definite_raises(self, coarse_spec):
-        with pytest.raises(DictionaryDegenerateError):
-            GramMatrix(coarse_spec, -np.eye(coarse_spec.p))
+    def test_not_positive_definite_raises(self, coarse_spec, coarse_gram):
+        Q_root, Q_leaf = coarse_gram.Q_root, coarse_gram.Q_leaf
+        for blocks in ((-Q_root, Q_leaf), (Q_root, -Q_leaf)):
+            with pytest.raises(DictionaryDegenerateError):
+                GramMatrix(coarse_spec, *blocks)
 
     def test_solve_and_inverse(self, coarse_gram):
         rng = np.random.default_rng(2)
         x = rng.normal(size=coarse_gram.spec.p)
         assert np.allclose(coarse_gram.Q @ coarse_gram.solve(x), x,
                            atol=1e-10)
-        assert np.allclose(coarse_gram.inverse @ coarse_gram.Q,
-                           np.eye(coarse_gram.spec.p), atol=1e-8)
+        for W, Qb in zip(coarse_gram.inverse,
+                         (coarse_gram.Q_root, coarse_gram.Q_leaf)):
+            assert np.allclose(W @ Qb, np.eye(len(Qb)), atol=1e-8)
 
-    def test_inv_norm_matches_dense(self, coarse_gram):
-        dense = 1.0 / np.linalg.eigvalsh(coarse_gram.Q).min()
-        assert np.isclose(coarse_gram.inv_norm, dense, rtol=1e-4)
+    def test_inv_norm_matches_dense(self, coarse_gram, d4_gram):
+        for gram in (coarse_gram, d4_gram):
+            dense = 1.0 / np.linalg.eigvalsh(gram.Q).min()
+            assert np.isclose(gram.inv_norm, dense, rtol=1e-4)
+
+    def test_block_solve_and_matvec_match_dense(self, d4_gram):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=d4_gram.spec.p)
+        Q = d4_gram.Q
+        assert np.allclose(d4_gram.matvec(x), Q @ x, rtol=1e-13, atol=1e-15)
+        assert np.allclose(d4_gram.solve(x), np.linalg.solve(Q, x),
+                           rtol=1e-9, atol=1e-12)
+        assert np.allclose(Q @ d4_gram.solve(x), x, atol=1e-10)
 
     def test_no_disk_cache(self, tmp_path, monkeypatch, coarse_spec,
                            coarse_gram):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import lsq_linear
@@ -9,15 +11,24 @@ from ssvi.optimizer import (PgdConfig, compute_upsilon, map_point,
 
 
 class FakeGram:
-    """Stand-in Gram matrix for projection unit tests."""
+    """Stand-in Gram matrix of one block, for projection unit tests."""
 
     def __init__(self, Q):
         self.Q = np.asarray(Q, dtype=float)
-        self.inverse = np.linalg.inv(self.Q)
-        self.inv_norm = 1.0 / np.linalg.eigvalsh(self.Q).min()
 
-    def solve(self, x):
-        return np.linalg.solve(self.Q, x)
+    def blocks(self):
+        yield np.arange(len(self.Q)), self.Q, np.linalg.inv(self.Q)
+
+    def matvec(self, x):
+        return self.Q @ x
+
+
+def bvls_projection(Q, z, constrained):
+    """min ||R theta - R z||^2 over the cone, with R the Cholesky factor of Q."""
+    R = np.linalg.cholesky(Q).T
+    lb = np.where(constrained, 0.0, -np.inf)
+    return lsq_linear(R, R @ z, bounds=(lb, np.inf), method="bvls",
+                      tol=1e-14).x
 
 
 class TestProjection:
@@ -43,11 +54,7 @@ class TestProjection:
             z = rng.normal(size=p) * 2.0
             constrained = rng.uniform(size=p) < 0.7
             got = project_cone_q(z, gram, constrained)
-            # min ||R theta - R z||^2 with R the Cholesky factor of Q
-            R = np.linalg.cholesky(Q).T
-            lb = np.where(constrained, 0.0, -np.inf)
-            ref = lsq_linear(R, R @ z, bounds=(lb, np.inf),
-                             method="bvls", tol=1e-14).x
+            ref = bvls_projection(Q, z, constrained)
             assert np.allclose(got, ref, atol=1e-8)
 
     def test_warm_start_same_answer(self):
@@ -60,6 +67,32 @@ class TestProjection:
         warm, active = project_cone_q(z, gram, cons, warm_active={0, 3},
                                       return_active=True)
         assert np.allclose(cold, warm, atol=1e-12)
+
+
+class TestBlockProjection:
+    """project_cone_q on a real Gram with a root and three leaf blocks."""
+
+    def test_matches_bvls_oracle_cold_and_warm(self, d4_gram):
+        spec = d4_gram.spec
+        cons = spec.constrained
+        rng = np.random.default_rng(5)
+        z = rng.normal(size=spec.p)
+        active = None
+        for _ in range(4):
+            ref = bvls_projection(d4_gram.Q, z, cons)
+            cold, cold_active = project_cone_q(z, d4_gram, cons,
+                                               return_active=True)
+            assert np.allclose(cold, ref, atol=1e-8)
+            # the active set is in global indices and touches every block
+            idx = np.fromiter(cold_active, dtype=int)
+            assert cons[idx].all() and not cold[idx].any()
+            for block in (np.arange(spec.N), *spec.leaf_index):
+                assert np.isin(block, idx).any()
+            if active is not None:
+                warm = project_cone_q(z, d4_gram, cons, warm_active=active)
+                assert np.allclose(warm, ref, atol=1e-8)
+            active = cold_active
+            z = z + 0.3 * rng.normal(size=spec.p)
 
 
 class TestUpsilon:
@@ -175,3 +208,26 @@ class TestRunPgd:
         assert res.iterations == 25
         assert calls["free_energy"] >= res.iterations + 1
         assert calls["forward"] == calls["free_energy"]
+
+
+def test_fit_allocates_no_dense_gram(monkeypatch):
+    # wide-d10 geometry (nine leaf blocks, p=2928) at a small sample: the
+    # Gram build plus one PGD iteration stay below one dense p x p array
+    def dense_q(self):
+        raise AssertionError("the fit built the dense Q")
+
+    monkeypatch.setattr(ssvi.GramMatrix, "Q", property(dense_q))
+    d = 10
+    target = ssvi.GaussianTarget(np.zeros(d),
+                                 np.full((d, d), 0.3) + 0.7 * np.eye(d))
+    spec = ssvi.build_dictionary(d, 3.0, 0.5)
+    assert spec.p == 2928
+    cfg = PgdConfig(step_size=0.5, max_iters=1, n_samples=500, seed=0)
+    tracemalloc.start()
+    try:
+        res = run_pgd(target, spec, ssvi.gram_matrix(spec), cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.iterations == 1
+    assert peak < 8 * spec.p ** 2
