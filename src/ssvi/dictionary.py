@@ -165,22 +165,6 @@ class DictionarySpec:
             raise ValueError(f"breakpoint {b} not on the grid")
         return m
 
-    def views(self, lam):
-        """Reshape a coefficient vector into per-class views.
-
-        Returns (lam0 (N,), lam1 (d−1,N,N), lam2, lam3 (d−1,N), lam4, lam5)
-        where the (d−1,N,N) axes are (leaf, root cell j, leaf breakpoint m).
-        """
-        N, dm1 = self.N, self.d - 1
-        o = self._off
-        lam = np.asarray(lam)
-        return (lam[o["M0"]:o["M1"]],
-                lam[o["M1"]:o["M2"]].reshape(dm1, N, N),
-                lam[o["M2"]:o["M3"]].reshape(dm1, N, N),
-                lam[o["M3"]:o["M4"]].reshape(dm1, N),
-                lam[o["M4"]:o["M5"]].reshape(dm1, N),
-                lam[o["M5"]:].reshape(dm1, N))
-
     def metadata(self):
         return {"d": self.d, "R": self.R, "delta": self.delta,
                 "ordering_version": self.ordering_version}

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .starmap import ConeViolationError, _ForwardState, forward
+from .starmap import ConeViolationError, _ForwardState, _leaf_rows, forward
 
 CHUNK = 1024  # documented reduction chunk size for per-sample partials
 
@@ -114,7 +114,9 @@ def gradient(params, spec, target, sample, state=None):
         ∂F/∂λ_{T′} = Ê[t′(x)·∂_iV(T(x))] − Ê[tr((DT)⁻¹ DT′)] ,
 
     and the trace reduces to (diagonal partial of T′)/diag_i by the
-    Sherman–Morrison structure of the triangular Jacobian.
+    Sherman–Morrison structure of the triangular Jacobian.  Per leaf, each
+    sample adds w·∂_iV·ψ to the ramps of the two table rows (r, w) it blends
+    (see :mod:`ssvi.starmap`) and takes w/(δ·diag_i) off their active cells.
 
     ``state`` is the forward pass of ``params`` on ``sample`` as
     :func:`free_energy` returned it; without it the pass is recomputed.
@@ -128,47 +130,28 @@ def gradient(params, spec, target, sample, state=None):
     mean_gV = _chunked_mean(gV)
     grad_v = mean_gV
 
-    c0, c1, c2, c3, c4, c5 = spec.views(spec.centering)
-    glam = np.zeros(spec.p)
-    g0, g1, g2, g3, g4, g5 = spec.views(glam)
-
+    glam = np.empty(spec.p)
     sel = st.inbox1
-    g0[:] = _ramp_sums(st.k1, st.f1, gV[:, 0], (N,)) / n - c0 * mean_gV[0]
-    g0 -= np.bincount(st.k1[sel], weights=inv_delta / st.diag[sel, 0],
-                      minlength=N) / n
+    glam[:N] = (_ramp_sums(st.k1, st.f1, gV[:, 0], (N,))
+                - np.bincount(st.k1[sel], weights=inv_delta / st.diag[sel, 0],
+                              minlength=N)) / n
 
+    shape = (2 * N + 2, N)
+    rows = _leaf_rows(spec, st.X[:, 0])  # not kept in a state: peak memory
     for li in range(d - 1):
         i = li + 1
         gvi = gV[:, i]
-        ki = st.ki[:, li]
-        fi = st.fi[:, li]
-        inboxi = st.inboxi[:, li]
-
-        # M1/M2 potential terms, accumulated per (root cell j, leaf ramp m)
-        cell = st.k1[sel] * N + ki[sel]
-        w, g = st.f1[sel], gvi[sel]
-        a1 = _ramp_sums(cell, fi[sel], w * g, (N, N))
-        a2 = _ramp_sums(cell, fi[sel], (1.0 - w) * g, (N, N))
-        # M1/M2 entropy traces: only the active (j, m) cell contributes
-        sel2 = st.inbox1 & inboxi
-        cell = st.k1[sel2] * N + ki[sel2]
-        wt = inv_delta / st.diag[sel2, i]
-        t1 = np.bincount(cell, weights=st.f1[sel2] * wt, minlength=N * N)
-        t2 = np.bincount(cell, weights=(1.0 - st.f1[sel2]) * wt,
-                         minlength=N * N)
-        g1[li][:, :] = (a1 - t1.reshape(N, N)) / n - c1[li] * mean_gV[i]
-        g2[li][:, :] = (a2 - t2.reshape(N, N)) / n - c2[li] * mean_gV[i]
-
-        # M3/M4 (x1 outside the box)
-        for g_out, c_out, mask in ((g3, c3, st.hi), (g4, c4, st.lo)):
-            pot = _ramp_sums(ki[mask], fi[mask], gvi[mask], (N,)) / n
-            sel3 = mask & inboxi
-            tr = np.bincount(ki[sel3], weights=inv_delta / st.diag[sel3, i],
-                             minlength=N)
-            g_out[li][:] = pot - tr / n - c_out[li] * mean_gV[i]
-
+        ki, fi = st.ki[li], st.fi[li]
+        # entropy trace: only the active (row, leaf ramp) cell contributes
+        wt = st.inboxi[li] * inv_delta / st.diag[:, i]
+        pot = tr = 0.0
+        for r, w in rows:
+            cell = r * N + ki
+            pot = pot + _ramp_sums(cell, fi, w * gvi, shape).ravel()
+            tr = tr + np.bincount(cell, weights=w * wt, minlength=pot.size)
         # M5: pure root column, zero entropy contribution
-        g5[li][:] = (_ramp_sums(st.k1, st.f1, gvi, (N,)) / n
-                     - c5[li] * mean_gV[i])
+        glam[spec.leaf_index[li]] = np.concatenate(
+            [pot - tr, _ramp_sums(st.k1, st.f1, gvi, (N,))]) / n
 
+    glam -= spec.centering * mean_gV[spec.coord]
     return glam, grad_v

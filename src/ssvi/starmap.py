@@ -5,6 +5,12 @@ and z_i = T_i(x_i; x₁) for every leaf i ≥ 1 depends only on (x_i, x₁).  It
 Jacobian is lower triangular with structure diag + (root column), so the
 log-determinant is a sum of logs of the diagonal.
 
+A leaf's M1–M4 coefficients, ``lam[spec.leaf_index[li]][:-N]``, form one
+(2N+2)×N table: rows 0..N−1 are M1 by root cell, N..2N−1 are M2, 2N is M3
+and 2N+1 is M4; the last N entries are M5.  For fixed x₁ the leaf is a 1-D
+ramp map in x_i whose coefficients blend two rows of that table: f₁·M1[k₁]
++ (1−f₁)·M2[k₁] in the box, the M3 row at x₁ ≥ R and the M4 row below −R.
+
 Coefficients over breakpoints are accumulated through prefix sums, so one map
 evaluation costs O(d) per sample after cell bucketing.
 """
@@ -82,11 +88,9 @@ class _ForwardState:
     k1: np.ndarray
     f1: np.ndarray
     inbox1: np.ndarray
-    hi: np.ndarray
-    lo: np.ndarray
-    ki: np.ndarray       # (n, d-1)
-    fi: np.ndarray       # (n, d-1)
-    inboxi: np.ndarray   # (n, d-1)
+    ki: np.ndarray       # (d-1, n)
+    fi: np.ndarray       # (d-1, n)
+    inboxi: np.ndarray   # (d-1, n)
 
 
 def _bucket(spec, x):
@@ -104,13 +108,46 @@ def _prefix(coef, axis=-1):
     return np.pad(cs, pad)
 
 
+def _leaf_table(spec, lam, li):
+    """Leaf li+1's (2N+2, N) M1–M4 table and its M5 vector (see above)."""
+    lam_i, N = lam[spec.leaf_index[li]], spec.N
+    return lam_i[:-N].reshape(2 * N + 2, N), lam_i[-N:]
+
+
+def _leaf_rows(spec, x1):
+    """The two table rows a leaf blends at root input x₁, with weights.
+
+    In the box x₁ ∈ [−R, R) these are (k₁, f₁) and (N+k₁, 1−f₁); at x₁ ≥ R
+    the M3 row 2N with weight 1, below −R the M4 row 2N+1 with weight 1,
+    and the second weight is 0 outside the box.
+    """
+    N = spec.N
+    k1, f1 = _bucket(spec, x1)
+    inbox = (x1 >= -spec.R) & (x1 < spec.R)
+    r1 = np.where(inbox, k1, np.where(x1 >= spec.R, 2 * N, 2 * N + 1))
+    return ((r1, np.where(inbox, f1, 1.0)),
+            (N + k1, np.where(inbox, 1.0 - f1, 0.0)))
+
+
+def _row_ramp(T, P, N, r, ki, fi):
+    """T[r, k_i] and Σ_m T[r, m] ψ((x_i−b_m)/δ); P's rows are N+1 wide."""
+    idx = r * N + ki
+    t = T[idx]
+    return t, P[idx + r] + t * fi
+
+
 def forward(params: StarMapParams, spec: DictionarySpec, X) -> _ForwardState:
-    """One vectorized forward pass: map values and Jacobian sketch."""
+    """One vectorized forward pass: map values and Jacobian sketch.
+
+    Each leaf blends two rows (r, w) of its table (``_leaf_rows``): with
+    s_r = Σ_m T[r, m] ψ((x_i−b_m)/δ), its value is Σ w·s_r plus the M5 ramp
+    sum in x₁, its slope Σ w·T[r, k_i]/δ in the box, and its root-column
+    entry (T5[k₁] + s_a − s_b)/δ for x₁ in the box, 0 outside.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n, d = X.shape
     if d != spec.d:
         raise ValueError(f"dimension mismatch: expected {spec.d}, got {d}")
-    lam0, lam1, lam2, lam3, lam4, lam5 = spec.views(params.lam)
     delta, R, N = spec.delta, spec.R, spec.N
     inv_delta = 1.0 / delta
     offsets = np.bincount(spec.coord, weights=params.lam * spec.centering,
@@ -119,55 +156,38 @@ def forward(params: StarMapParams, spec: DictionarySpec, X) -> _ForwardState:
     x1 = X[:, 0]
     k1, f1 = _bucket(spec, x1)
     inbox1 = (x1 >= -R) & (x1 < R)
-    hi = x1 >= R
-    lo = x1 < -R
 
-    Z = np.empty_like(X)
-    diag = np.empty_like(X)
-    root_col = np.zeros((n, d - 1))
-    ki_all = np.empty((n, d - 1), dtype=np.intp)
-    fi_all = np.empty((n, d - 1))
-    inboxi_all = np.empty((n, d - 1), dtype=bool)
+    Z, diag = np.empty_like(X), np.empty_like(X)
+    root_col = np.empty((n, d - 1))
+    ki_all = np.empty((d - 1, n), dtype=np.intp)
+    fi_all = np.empty((d - 1, n))
+    inboxi_all = np.empty((d - 1, n), dtype=bool)
 
-    cs0 = _prefix(lam0)
-    Z[:, 0] = (params.alpha[0] * x1 + cs0[k1] + lam0[k1] * f1
-               + params.v[0] - offsets[0])
-    diag[:, 0] = params.alpha[0] + inbox1 * lam0[k1] * inv_delta
+    Z[:, 0], diag[:, 0] = _map_1d(spec, *_root_1d(params, spec), x1)
+    # above the outputs on the heap, so freeing them leaves no hole below
+    (r_a, w_a), (r_b, w_b) = _leaf_rows(spec, x1)
 
     for li in range(d - 1):
         i = li + 1
         xi = X[:, i]
-        ki, fi = _bucket(spec, xi)
-        inboxi = (xi >= -R) & (xi < R)
-        ki_all[:, li], fi_all[:, li], inboxi_all[:, li] = ki, fi, inboxi
+        ki_all[li], fi_all[li] = _bucket(spec, xi)
+        inboxi_all[li] = (xi >= -R) & (xi < R)
+        ki, fi, inboxi = ki_all[li], fi_all[li], inboxi_all[li]
 
-        cs5 = _prefix(lam5[li])
-        val = cs5[k1] + lam5[li][k1] * f1
-        cs3 = _prefix(lam3[li])
-        cs4 = _prefix(lam4[li])
-        val = val + np.where(hi, cs3[ki] + lam3[li][ki] * fi, 0.0)
-        val = val + np.where(lo, cs4[ki] + lam4[li][ki] * fi, 0.0)
-        c1 = _prefix(lam1[li], axis=1)
-        c2 = _prefix(lam2[li], axis=1)
-        s1 = c1[k1, ki] + lam1[li][k1, ki] * fi
-        s2 = c2[k1, ki] + lam2[li][k1, ki] * fi
-        val = val + np.where(inbox1, f1 * s1 + (1.0 - f1) * s2, 0.0)
-        Z[:, i] = params.alpha[i] * xi + val + params.v[i] - offsets[i]
+        T, T5 = _leaf_table(spec, params.lam, li)
+        T, P = T.ravel(), _prefix(T, axis=1).ravel()
+        ta, s_a = _row_ramp(T, P, N, r_a, ki, fi)
+        tb, s_b = _row_ramp(T, P, N, r_b, ki, fi)
+        diag[:, i] = params.alpha[i] + inboxi * (w_a * ta + w_b * tb) \
+            * inv_delta
+        del ta, tb  # before the value's temporaries: the pass's peak memory
+        Z[:, i] = (params.alpha[i] * xi
+                   + (_prefix(T5)[k1] + T5[k1] * f1 + (w_a * s_a + w_b * s_b))
+                   + params.v[i] - offsets[i])
+        root_col[:, li] = np.where(inbox1, (T5[k1] + (s_a - s_b)) * inv_delta,
+                                   0.0)
 
-        dval = np.where(inbox1,
-                        f1 * lam1[li][k1, ki] + (1.0 - f1) * lam2[li][k1, ki],
-                        0.0)
-        dval = dval + np.where(hi, lam3[li][ki], 0.0) \
-            + np.where(lo, lam4[li][ki], 0.0)
-        diag[:, i] = params.alpha[i] + inboxi * dval * inv_delta
-
-        d12 = lam1[li] - lam2[li]
-        cd = _prefix(d12, axis=1)
-        rsum = cd[k1, ki] + d12[k1, ki] * fi
-        root_col[:, li] = np.where(inbox1,
-                                   (lam5[li][k1] + rsum) * inv_delta, 0.0)
-
-    return _ForwardState(X, Z, diag, root_col, k1, f1, inbox1, hi, lo,
+    return _ForwardState(X, Z, diag, root_col, k1, f1, inbox1,
                          ki_all, fi_all, inboxi_all)
 
 
@@ -244,7 +264,7 @@ def _logdensity_1d(spec, a, mu, const, z):
 
 def _root_1d(params, spec):
     """The root map T₁ as (a, mu, const) of ``_map_1d``."""
-    lam0 = spec.views(params.lam)[0]
+    lam0 = params.lam[:spec.N]
     offset = float(lam0 @ spec.centering[:spec.N])
     return params.alpha[0], lam0, params.v[0] - offset
 
@@ -265,25 +285,19 @@ def leaf_profile(params, spec, i, x1):
     """Effective 1-D leaf map at a fixed root input x₁ (scalar).
 
     Returns (mu, const) with T_i(x_i) = α_i x_i + Σ_m mu_m ψ((x_i−b_m)/δ) +
-    const.
+    const: mu blends the two table rows of ``_leaf_rows`` and const carries
+    the M5 ramp sum in x₁.
     """
     if not 1 <= i < spec.d:
         raise ValueError(f"leaf index out of range: {i}")
-    x1 = float(x1)
     li = i - 1
-    _, lam1, lam2, lam3, lam4, lam5 = spec.views(params.lam)
-    k1, f1 = _bucket(spec, np.asarray([x1]))
-    k1, f1 = int(k1[0]), float(f1[0])
+    x1 = np.asarray([float(x1)])
+    k1, f1 = _bucket(spec, x1)
+    T, T5 = _leaf_table(spec, params.lam, li)
+    mu = sum(w[0] * T[r[0]] for r, w in _leaf_rows(spec, x1))
     idx = spec.leaf_index[li]
     off_i = float(np.sum(params.lam[idx] * spec.centering[idx]))
-    cs5 = _prefix(lam5[li])
-    const = params.v[i] - off_i + cs5[k1] + lam5[li][k1] * f1
-    if x1 >= spec.R:
-        mu = lam3[li].copy()
-    elif x1 < -spec.R:
-        mu = lam4[li].copy()
-    else:
-        mu = f1 * lam1[li][k1] + (1.0 - f1) * lam2[li][k1]
+    const = params.v[i] - off_i + _prefix(T5)[k1[0]] + T5[k1[0]] * f1[0]
     return mu, const
 
 
@@ -314,17 +328,18 @@ def build_oracle_approximator(t_star, spec: DictionarySpec, alpha,
     grid = np.append(spec.breakpoints, spec.R)  # length N+1
     lam = np.zeros(spec.p)
     v = np.zeros(d)
-    lam0, lam1, lam2, lam3, lam4, lam5 = spec.views(lam)
 
     g1 = np.asarray(t_star.t1(grid), dtype=float) - alpha[0] * grid
     inc = np.diff(g1)
     if inc.min() < -tol:
         raise MonotonicityError(
             f"root map increment {inc.min():.3e} < 0 on the grid")
-    lam0[:] = np.clip(inc, 0.0, None)
-    c0 = spec.centering[:N]
-    v[0] = g1[0] + float(lam0 @ c0)
+    lam[:N] = np.clip(inc, 0.0, None)
+    v[0] = g1[0] + float(lam[:N] @ spec.centering[:N])
 
+    # x₁ grid column of each leaf-table row: M1 row j the right end of root
+    # cell j, M2 row j its left end, M3 the column at R and M4 the one at −R
+    cols = np.r_[1:N + 1, 0:N, N, 0]
     for li in range(d - 1):
         i = li + 1
         Gi = np.asarray(t_star.ti(i, grid[:, None], grid[None, :]),
@@ -333,13 +348,10 @@ def build_oracle_approximator(t_star, spec: DictionarySpec, alpha,
         if D.min() < -tol:
             raise MonotonicityError(
                 f"leaf {i} increment {D.min():.3e} < 0 on the grid")
-        D = np.clip(D, 0.0, None)
-        lam2[li][:, :] = D[:, :N].T      # left column of each root cell
-        lam1[li][:, :] = D[:, 1:].T      # right column of each root cell
-        lam4[li][:] = D[:, 0]            # clamped below −R
-        lam3[li][:] = D[:, N]            # clamped above R
-        lam5[li][:] = np.diff(Gi[0])     # root-ramp baseline, sign-free
         idx = spec.leaf_index[li]
+        # M5 is the root-ramp baseline, sign-free
+        lam[idx] = np.concatenate([np.clip(D, 0.0, None)[:, cols].T.ravel(),
+                                   np.diff(Gi[0])])
         v[i] = Gi[0, 0] + float(lam[idx] @ spec.centering[idx])
 
     return StarMapParams(alpha, lam, v)

@@ -39,9 +39,6 @@ class RegularityConstants:
             interaction (the root-domination constant ℓ').
         L_root: stored as 2·sup ∂²V/∂z₁² so it plugs directly into the spike
             component α₁ = L_root^{-1/2} and the step size.
-        L_mixed: bound on the mixed derivative of the optimal leaf
-            conditionals; informational only, may be None when the defining
-            denominator is nonpositive.
         warnings: non-fatal issues (e.g. "root domination violated").
     """
 
@@ -49,7 +46,6 @@ class RegularityConstants:
     L: float
     ell_root: float
     L_root: float
-    L_mixed: float | None = None
     warnings: tuple[str, ...] = ()
 
     def spike(self, d: int) -> np.ndarray:
@@ -63,7 +59,7 @@ class RegularityConstants:
     def with_overrides(self, overrides: dict | None) -> "RegularityConstants":
         if not overrides:
             return self
-        allowed = {"ell", "L", "ell_root", "L_root", "L_mixed"}
+        allowed = {"ell", "L", "ell_root", "L_root"}
         unknown = set(overrides) - allowed
         if unknown:
             raise ValueError(f"unknown regularity overrides: {sorted(unknown)}")
@@ -72,7 +68,7 @@ class RegularityConstants:
         return RegularityConstants(warnings=self.warnings, **vals)
 
 
-def _check_constants(ell, L, ell_root, L_root, L_mixed):
+def _check_constants(ell, L, ell_root, L_root):
     warnings = []
     if not np.isfinite(ell) or ell <= 0:
         warnings.append("leaf curvature lower bound nonpositive")
@@ -81,7 +77,6 @@ def _check_constants(ell, L, ell_root, L_root, L_mixed):
     return RegularityConstants(
         ell=float(ell), L=float(L), ell_root=float(ell_root),
         L_root=float(L_root),
-        L_mixed=None if L_mixed is None else float(L_mixed),
         warnings=tuple(warnings),
     )
 
@@ -108,12 +103,6 @@ class TargetPotential:
     def hessian(self, z):
         """Full Hessian, shape ``z.shape + (d,)``."""
         raise NotImplementedError
-
-    def hessian_entry(self, z, i, j):
-        """Single Hessian entry ∂²V/∂z_i∂z_j (0-based indices)."""
-        if not (0 <= i < self.d and 0 <= j < self.d):
-            raise IndexError(f"hessian index out of range: ({i}, {j})")
-        return self.hessian(z)[..., i, j]
 
     def regularity_constants(self, overrides=None) -> RegularityConstants:
         raise NotImplementedError
@@ -173,14 +162,7 @@ class GaussianTarget(TargetPotential):
         cross = P[0, 1:]
         ell_root = P[0, 0] - float(cross @ cross) / ell
         L_root = 2.0 * P[0, 0]
-        # Mixed-derivative bound: ell * max|P_{1i}| / (ell - max_i sum_{j!=i}|P_{ij}|)
-        L_mixed = None
-        if self.d > 1:
-            off = np.abs(leaf) - np.diag(np.diag(np.abs(leaf)))
-            denom = ell - off.sum(axis=1).max()
-            if denom > 0:
-                L_mixed = ell * np.abs(cross).max() / denom
-        consts = _check_constants(ell, L, ell_root, L_root, L_mixed)
+        consts = _check_constants(ell, L, ell_root, L_root)
         return consts.with_overrides(overrides)
 
 
@@ -283,12 +265,6 @@ class LogisticPrior:
         return 2.0 * s * (1.0 - s) / self.scale ** 2
 
 
-def _abs_gram(X, c):
-    """|X|ᵀ|X| / c — entrywise envelope of the data Hessian term."""
-    aX = np.abs(X)
-    return aX.T @ aX / c
-
-
 def _constants_from_overrides(family, overrides):
     """Constants of a GLM whose log-partition curvature bounds are unknown.
 
@@ -296,7 +272,7 @@ def _constants_from_overrides(family, overrides):
     every one of ell, L, ell_root and L_root.
     """
     consts = RegularityConstants(
-        ell=np.nan, L=np.nan, ell_root=np.nan, L_root=np.nan, L_mixed=None,
+        ell=np.nan, L=np.nan, ell_root=np.nan, L_root=np.nan,
         warnings=("log-partition curvature bounds unavailable; "
                   "overrides required",))
     out = consts.with_overrides(overrides)
@@ -434,14 +410,7 @@ class GlmLocationTarget(_GlmTarget):
         L = B * a_hi + r_hi
         ell_root = g_lo + k * r_lo - (k * r_hi ** 2 / ell if ell > 0 else np.inf)
         L_root = 2.0 * (g_hi + k * r_hi)
-        L_mixed = None
-        if ell > 0:
-            At = _abs_gram(self.X, self.c)
-            off = B * (At.sum(axis=1) - np.diag(At))
-            denom = ell - (off.max() if off.size else 0.0)
-            if denom > 0:
-                L_mixed = ell * r_hi / denom
-        consts = _check_constants(ell, L, ell_root, L_root, L_mixed)
+        consts = _check_constants(ell, L, ell_root, L_root)
         return consts.with_overrides(overrides)
 
 
@@ -585,16 +554,7 @@ class SpikeSlabGlmTarget(_GlmTarget):
         else:
             ell_root = -np.inf
         L_root = 2.0 * (B * A11 + tau2)
-        L_mixed = None
-        if ell > 0:
-            At = _abs_gram(self.X, self.c)
-            cross = (B * At[0, 1:] + tau2 * np.abs(self.gamma)).max()
-            inter = B * At[1:, 1:] + tau2 * np.abs(
-                np.outer(self.gamma, self.gamma))
-            denom = ell - (inter.sum(axis=1) - np.diag(inter)).max()
-            if denom > 0:
-                L_mixed = ell * cross / denom
-        consts = _check_constants(ell, L, ell_root, L_root, L_mixed)
+        consts = _check_constants(ell, L, ell_root, L_root)
         return consts.with_overrides(overrides)
 
 

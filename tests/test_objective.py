@@ -52,8 +52,9 @@ class TestFreeEnergy:
 
     def test_cone_violation_detected(self, gauss3_target, spec3, sample3):
         params = ssvi.identity_params(spec3)
-        m3 = spec3.views(params.lam)[3]
-        m3[0, :] = -10.0  # drives a leaf slope negative beyond the box
+        N = spec3.N
+        # leaf 1's M3 row: drives a leaf slope negative beyond the box
+        params.lam[spec3.leaf_index[0, 2 * N * N:2 * N * N + N]] = -10.0
         with pytest.raises(ssvi.ConeViolationError):
             free_energy(params, spec3, gauss3_target, sample3)
 
@@ -110,6 +111,28 @@ class TestGradient:
                   - free_energy(pm, spec3, gauss3_target, sample3).value) \
                 / (2 * h)
             assert np.isclose(gv[i], fd, atol=1e-8, rtol=1e-6)
+
+    def test_matches_finite_differences_on_every_index(self, gauss3_target,
+                                                       spec3):
+        # a widened sample puts x₁ below −R, in the box and at or above R,
+        # and leaves outside the box, so every class and row is exercised
+        X = 1.6 * SaaSample.build(11, 1000, 3).X
+        sample = SaaSample(11, 1000, 3, X)
+        R = spec3.R
+        assert (X[:, 0] < -R).any() and (X[:, 0] >= R).any()
+        assert (np.abs(X[:, 1:]) >= R).any()
+        params = random_admissible_params(spec3, np.random.default_rng(12))
+        glam, _ = gradient(params, spec3, gauss3_target, sample)
+        h = 1e-6
+        fd = np.empty(spec3.p)
+        for idx in range(spec3.p):
+            pp, pm = params.copy(), params.copy()
+            pp.lam[idx] += h
+            pm.lam[idx] -= h
+            fd[idx] = (free_energy(pp, spec3, gauss3_target, sample).value
+                       - free_energy(pm, spec3, gauss3_target, sample).value
+                       ) / (2 * h)
+        np.testing.assert_allclose(glam, fd, atol=1e-7, rtol=1e-5)
 
     def test_zero_at_exact_minimizer_direction(self):
         # product-measure Gaussian with matching identity-like params: the

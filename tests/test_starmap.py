@@ -127,8 +127,9 @@ class TestDensities:
         logp = ssvi.root_marginal_logdensity(rand_params, spec3, zs)
         assert np.isclose(np.trapezoid(np.exp(logp), zs), 1.0, atol=1e-3)
 
-    def test_leaf_profile_reconstructs_map(self, spec3, rand_params):
-        x1 = 0.7
+    # in the box, below −R (M4), the half-open edge at R and above R (M3)
+    @pytest.mark.parametrize("x1", [0.7, -2.3, 2.0, 2.5])
+    def test_leaf_profile_reconstructs_map(self, spec3, rand_params, x1):
         mu, const = leaf_profile(rand_params, spec3, 2, x1)
         xi = np.linspace(-3, 3, 21)
         X = np.zeros((21, 3))

@@ -107,10 +107,6 @@ class TestGaussianTarget:
         with pytest.raises(ValueError, match="dimension mismatch"):
             gauss3_target.potential(np.zeros(4))
 
-    def test_hessian_entry_bounds(self, gauss3_target):
-        with pytest.raises(IndexError):
-            gauss3_target.hessian_entry(np.zeros(3), 0, 3)
-
     def test_regularity_constants(self, gauss3_target):
         c = gauss3_target.regularity_constants()
         P = gauss3_target.precision
