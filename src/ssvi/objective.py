@@ -14,6 +14,7 @@ in-order bincounts).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -71,12 +72,20 @@ def _transported(params, spec, target, sample):
     return st, Vz
 
 
+def _fsum(a):
+    """math.fsum of a 1-D array, fed as Python floats one CHUNK at a time
+    (iterating the array itself would box every entry as a numpy scalar;
+    one whole-array ``tolist`` would hold n floats at once)."""
+    return math.fsum(itertools.chain.from_iterable(
+        a[s:s + CHUNK].tolist() for s in range(0, a.size, CHUNK)))
+
+
 def free_energy(params, spec, target, sample) -> FreeEnergyReport:
     st, Vz = _transported(params, spec, target, sample)
     logdet = np.log(st.diag).sum(axis=1)
     n = sample.n
-    pot = math.fsum(Vz) / n
-    ent = -math.fsum(logdet) / n
+    pot = _fsum(Vz) / n
+    ent = -_fsum(logdet) / n
     per_sample = Vz - logdet
     se = float(per_sample.std(ddof=1) / math.sqrt(n)) if n > 1 else math.inf
     return FreeEnergyReport(pot + ent, pot, ent, se, st)

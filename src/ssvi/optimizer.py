@@ -86,9 +86,14 @@ def project_cone_q(z, gram, constrained, warm_active=None, tol=1e-10,
     per-coordinate cones, so the problem splits into one QP per block of
     ``gram.blocks()``: the root, then the d−1 leaves, which share one Q and
     one W = Q⁻¹ block.  Each is solved by ``_project_block`` and
-    warm-started from its slice of ``warm_active`` (global indices, as is
-    the returned active set).  Terminates with KKT residual below ``tol``,
-    checked on the assembled θ.
+    warm-started from its slice of ``warm_active``, an integer array of
+    global indices (unconstrained ones are ignored); without it the working
+    set starts at the constrained indices with z < 0.  Terminates with KKT
+    residual below ``tol``, checked on the assembled θ.
+
+    With ``return_active`` the result is (θ, A): A is the final working set
+    as a sorted ``np.intp`` array of constrained global indices, all with
+    θ = 0, and ``len(A)`` is |A|.  It can be fed back as ``warm_active``.
     """
     z = np.asarray(z, dtype=float)
     constrained = np.asarray(constrained, dtype=bool)
@@ -97,9 +102,8 @@ def project_cone_q(z, gram, constrained, warm_active=None, tol=1e-10,
     if warm_active is None:
         active[constrained & (z < 0)] = True
     else:
-        for a in warm_active:
-            if constrained[a]:
-                active[a] = True
+        active[np.asarray(warm_active, dtype=np.intp)] = True
+        active &= constrained
 
     theta = np.empty_like(z)
     for idx, Q, W in gram.blocks():
@@ -114,7 +118,7 @@ def project_cone_q(z, gram, constrained, warm_active=None, tol=1e-10,
     if resid > tol * max(1.0, float(np.abs(gram.matvec(z)).max())):
         raise OptimizerError(f"projection KKT residual {resid:.2e}")
     if return_active:
-        return theta, set(np.flatnonzero(active))
+        return theta, np.flatnonzero(active)
     return theta
 
 
@@ -249,14 +253,18 @@ def run_pgd(target, spec, gram, config: PgdConfig, consts=None,
         nat = gram.solve(glam)
 
         # sticky step: every iteration first tries double the last accepted
-        # step (capped at h), also right after an iteration that halved
+        # step (capped at h), also right after an iteration that halved.
+        # The first trial's projection starts from the iterate's active set,
+        # each halving's from the set of the trial it rejected: the halved
+        # point lies between the two, far nearer the rejected trial.
         step = min(h, 2.0 * cur_step) if safeguard else h
         n_halved = 0
+        warm = active
         while True:
             fe = None
-            lam_new, active_new = project_cone_q(
+            lam_new, warm = project_cone_q(
                 params.lam - step * nat, gram, spec.constrained,
-                warm_active=active, tol=config.proj_tol, return_active=True)
+                warm_active=warm, tol=config.proj_tol, return_active=True)
             v_new = params.v - step * gv
             trial = StarMapParams(params.alpha, lam_new, v_new)
             try:
@@ -281,7 +289,7 @@ def run_pgd(target, spec, gram, config: PgdConfig, consts=None,
         theta_norm = math.sqrt(max(0.0, float(dlam @ gram.matvec(dlam))
                                    + float(dv @ dv))) / step
         params = trial
-        active = active_new
+        active = warm
         fvals.append(fe.value)
         gnorms.append(theta_norm)
         halvings.append(n_halved)

@@ -84,7 +84,6 @@ class _ForwardState:
     X: np.ndarray
     Z: np.ndarray
     diag: np.ndarray
-    root_col: np.ndarray
     k1: np.ndarray
     f1: np.ndarray
     inbox1: np.ndarray
@@ -136,20 +135,31 @@ def _row_ramp(T, P, N, r, ki, fi):
     return t, P[idx + r] + t * fi
 
 
+def _leaf_ramps(spec, lam, li, rows, ki, fi):
+    """Leaf li+1 at the two rows ``rows`` of ``_leaf_rows``.
+
+    Returns T5, the leaf's M5 vector, and (T[r, k_i], s_r) for each row r,
+    with s_r = Σ_m T[r, m] ψ((x_i−b_m)/δ).
+    """
+    T, T5 = _leaf_table(spec, lam, li)
+    T, P = T.ravel(), _prefix(T, axis=1).ravel()
+    return (T5, *(_row_ramp(T, P, spec.N, r, ki, fi) for r, _ in rows))
+
+
 def forward(params: StarMapParams, spec: DictionarySpec, X) -> _ForwardState:
-    """One vectorized forward pass: map values and Jacobian sketch.
+    """One vectorized forward pass: map values and Jacobian diagonal.
 
     Each leaf blends two rows (r, w) of its table (``_leaf_rows``): with
     s_r = Σ_m T[r, m] ψ((x_i−b_m)/δ), its value is Σ w·s_r plus the M5 ramp
-    sum in x₁, its slope Σ w·T[r, k_i]/δ in the box, and its root-column
-    entry (T5[k₁] + s_a − s_b)/δ for x₁ in the box, 0 outside.
+    sum in x₁ and its slope Σ w·T[r, k_i]/δ in the box.  The root column,
+    which the objective never reads, is left to :func:`jacobian`.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n, d = X.shape
     if d != spec.d:
         raise ValueError(f"dimension mismatch: expected {spec.d}, got {d}")
-    delta, R, N = spec.delta, spec.R, spec.N
-    inv_delta = 1.0 / delta
+    R = spec.R
+    inv_delta = 1.0 / spec.delta
     offsets = np.bincount(spec.coord, weights=params.lam * spec.centering,
                           minlength=d)
 
@@ -158,14 +168,14 @@ def forward(params: StarMapParams, spec: DictionarySpec, X) -> _ForwardState:
     inbox1 = (x1 >= -R) & (x1 < R)
 
     Z, diag = np.empty_like(X), np.empty_like(X)
-    root_col = np.empty((n, d - 1))
     ki_all = np.empty((d - 1, n), dtype=np.intp)
     fi_all = np.empty((d - 1, n))
     inboxi_all = np.empty((d - 1, n), dtype=bool)
 
     Z[:, 0], diag[:, 0] = _map_1d(spec, *_root_1d(params, spec), x1)
     # above the outputs on the heap, so freeing them leaves no hole below
-    (r_a, w_a), (r_b, w_b) = _leaf_rows(spec, x1)
+    rows = _leaf_rows(spec, x1)
+    (_, w_a), (_, w_b) = rows
 
     for li in range(d - 1):
         i = li + 1
@@ -174,20 +184,16 @@ def forward(params: StarMapParams, spec: DictionarySpec, X) -> _ForwardState:
         inboxi_all[li] = (xi >= -R) & (xi < R)
         ki, fi, inboxi = ki_all[li], fi_all[li], inboxi_all[li]
 
-        T, T5 = _leaf_table(spec, params.lam, li)
-        T, P = T.ravel(), _prefix(T, axis=1).ravel()
-        ta, s_a = _row_ramp(T, P, N, r_a, ki, fi)
-        tb, s_b = _row_ramp(T, P, N, r_b, ki, fi)
+        T5, (ta, s_a), (tb, s_b) = _leaf_ramps(spec, params.lam, li, rows,
+                                               ki, fi)
         diag[:, i] = params.alpha[i] + inboxi * (w_a * ta + w_b * tb) \
             * inv_delta
         del ta, tb  # before the value's temporaries: the pass's peak memory
         Z[:, i] = (params.alpha[i] * xi
                    + (_prefix(T5)[k1] + T5[k1] * f1 + (w_a * s_a + w_b * s_b))
                    + params.v[i] - offsets[i])
-        root_col[:, li] = np.where(inbox1, (T5[k1] + (s_a - s_b)) * inv_delta,
-                                   0.0)
 
-    return _ForwardState(X, Z, diag, root_col, k1, f1, inbox1,
+    return _ForwardState(X, Z, diag, k1, f1, inbox1,
                          ki_all, fi_all, inboxi_all)
 
 
@@ -199,11 +205,23 @@ def map_eval(params, spec, x):
 
 
 def jacobian(params, spec, x) -> JacobianSketch:
+    """Diagonal (from :func:`forward`) and root column of DT at x.
+
+    Leaf i's root-column entry is ∂T_i/∂x₁ = (T5[k₁] + s_a − s_b)/δ for x₁
+    in the box, 0 outside, with s_a, s_b the ramp sums of ``_leaf_ramps``.
+    """
     x = np.asarray(x, dtype=float)
     st = forward(params, spec, x)
+    rows = _leaf_rows(spec, st.X[:, 0])
+    root_col = np.empty((st.X.shape[0], spec.d - 1))
+    for li in range(spec.d - 1):
+        T5, (_, s_a), (_, s_b) = _leaf_ramps(spec, params.lam, li, rows,
+                                             st.ki[li], st.fi[li])
+        root_col[:, li] = np.where(
+            st.inbox1, (T5[st.k1] + (s_a - s_b)) * (1.0 / spec.delta), 0.0)
     if x.ndim == 1:
-        return JacobianSketch(st.diag[0], st.root_col[0])
-    return JacobianSketch(st.diag, st.root_col)
+        return JacobianSketch(st.diag[0], root_col[0])
+    return JacobianSketch(st.diag, root_col)
 
 
 def log_det(jac: JacobianSketch):

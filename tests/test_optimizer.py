@@ -64,7 +64,8 @@ class TestProjection:
         z = rng.normal(size=8)
         cons = np.ones(8, dtype=bool)
         cold = project_cone_q(z, gram, cons)
-        warm, active = project_cone_q(z, gram, cons, warm_active={0, 3},
+        warm, active = project_cone_q(z, gram, cons,
+                                      warm_active=np.array([0, 3]),
                                       return_active=True)
         assert np.allclose(cold, warm, atol=1e-12)
 
@@ -93,6 +94,31 @@ class TestBlockProjection:
                 assert np.allclose(warm, ref, atol=1e-8)
             active = cold_active
             z = z + 0.3 * rng.normal(size=spec.p)
+
+    def test_active_set_is_a_sorted_index_array(self, d4_gram):
+        spec = d4_gram.spec
+        cons = spec.constrained
+        rng = np.random.default_rng(7)
+        z = rng.normal(size=spec.p)
+        theta, active = project_cone_q(z, d4_gram, cons, return_active=True)
+        assert isinstance(active, np.ndarray)
+        assert active.dtype == np.intp and active.ndim == 1
+        assert np.all(np.diff(active) > 0)
+        # exactly the constrained zeros of theta, so len() counts |A|
+        assert np.array_equal(active, np.flatnonzero(cons & (theta == 0.0)))
+        assert 0 < len(active) < cons.sum()
+        # warm starts from it (also with unconstrained indices mixed in,
+        # which are ignored) reach the oracle at a nearby point
+        z2 = z + 0.3 * rng.normal(size=spec.p)
+        ref = bvls_projection(d4_gram.Q, z2, cons)
+        for warm_active in (active,
+                            np.union1d(active, np.flatnonzero(~cons))):
+            warm, warm_set = project_cone_q(z2, d4_gram, cons,
+                                            warm_active=warm_active,
+                                            return_active=True)
+            assert np.allclose(warm, ref, atol=1e-8)
+            assert np.array_equal(warm_set,
+                                  np.flatnonzero(cons & (warm == 0.0)))
 
 
 class TestUpsilon:
@@ -185,6 +211,49 @@ class TestRunPgd:
         default = run_pgd(gauss2_target, spec, gram,
                           PgdConfig(max_iters=5, n_samples=1000, seed=0))
         assert not default.halving_trace.any()
+
+    def test_halvings_warm_start_from_the_rejected_trial(
+            self, gauss2_target, monkeypatch):
+        spec = ssvi.build_dictionary(2, 2.0, 1.0)
+        gram = ssvi.gram_matrix(spec)
+        cfg = PgdConfig(step_size=50.0, max_iters=5, n_samples=1000, seed=0)
+        project = optimizer.project_cone_q
+        calls = []  # (warm_active, returned active set) per projection
+
+        def spy(*args, **kwargs):
+            out = project(*args, **kwargs)
+            calls.append((kwargs["warm_active"], out[1]))
+            return out
+
+        monkeypatch.setattr(optimizer, "project_cone_q", spy)
+        warm = run_pgd(gauss2_target, spec, gram, cfg)
+        assert warm.halving_trace.sum() >= 1
+        assert len(calls) == warm.iterations + warm.halving_trace.sum()
+        accepted = None
+        for n_halved in warm.halving_trace:
+            trials = calls[:n_halved + 1]
+            del calls[:n_halved + 1]
+            # the first trial starts from the iterate's set, each halving
+            # from the set the trial it rejected returned
+            first = trials[0][0]
+            if accepted is None:
+                assert first is None
+            else:
+                assert np.array_equal(first, accepted)
+            for (_, rejected), (warm_active, _) in zip(trials, trials[1:]):
+                assert np.array_equal(warm_active, rejected)
+                assert warm_active.dtype == np.intp
+            accepted = trials[-1][1]
+
+        def cold(*args, **kwargs):
+            kwargs["warm_active"] = None
+            return project(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "project_cone_q", cold)
+        ref = run_pgd(gauss2_target, spec, gram, cfg)
+        assert np.array_equal(warm.halving_trace, ref.halving_trace)
+        assert np.allclose(warm.free_energy_trace, ref.free_energy_trace,
+                           rtol=1e-9, atol=0.0)
 
     def test_one_forward_pass_per_evaluated_point(self, gauss2_target,
                                                   monkeypatch):
