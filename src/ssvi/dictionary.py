@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, lapack
 from scipy.special import ndtr
 from scipy.stats import norm
 
@@ -381,7 +381,8 @@ class GramMatrix:
 
     @property
     def inverse(self):
-        """(Q_root⁻¹, Q_leaf⁻¹), computed once; used by the cone projection."""
+        """(Q_root⁻¹, Q_leaf⁻¹), computed once; used by the cone projection
+        when the active side of a working set is the smaller."""
         if self._inv is None:
             self._inv = tuple(_symmetric_inverse(cho)
                               for cho in (self._cho_root, self._cho_leaf))
@@ -409,8 +410,15 @@ class GramMatrix:
 
 
 def _symmetric_inverse(cho):
-    W = cho_solve(cho, np.eye(cho[0].shape[0]))
-    return 0.5 * (W + W.T)
+    """A⁻¹ from a lower Cholesky factor of A: LAPACK potri fills the lower
+    triangle (it reads only the factor's), which is mirrored upwards."""
+    inv, info = lapack.dpotri(cho[0], lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"potri failed (info={info})")
+    W = np.tril(inv)
+    del inv  # at most two m×m arrays alive at once
+    W += np.tril(W, -1).T
+    return W
 
 
 def _power_inv_norm(cho):

@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from .objective import SaaSample, TargetOverflowError, free_energy, gradient
 from .starmap import ConeViolationError, StarMapParams
@@ -88,8 +89,10 @@ def project_cone_q(z, gram, constrained, warm_active=None, tol=1e-10,
     one W = Q⁻¹ block.  Each is solved by ``_project_block`` and
     warm-started from its slice of ``warm_active``, an integer array of
     global indices (unconstrained ones are ignored); without it the working
-    set starts at the constrained indices with z < 0.  Terminates with KKT
-    residual below ``tol``, checked on the assembled θ.
+    set starts at the constrained indices with z < 0.  A pivoting sweep on a
+    block of size m costs O(min(|A|,|F|)³ + m·min(|A|,|F|) + m²), for the
+    block's working set A and free set F.  Terminates with KKT residual
+    below ``tol``, checked on the assembled θ.
 
     With ``return_active`` the result is (θ, A): A is the final working set
     as a sorted ``np.intp`` array of constrained global indices, all with
@@ -125,21 +128,29 @@ def project_cone_q(z, gram, constrained, warm_active=None, tol=1e-10,
 def _project_block(z, Q, W, constrained, active, tol):
     """Projection onto one block's cone; ``active`` is updated in place.
 
-    Primal active-set method.  Equality-constrained subproblems are solved
-    through the block's W = Q⁻¹ via the block-inverse identity
-    Q_FF⁻¹ Q_FA = −W_FA W_AA⁻¹, so a working set A costs
-    O(m·|A|² + |A|³) on a block of size m.
+    Primal active-set method.  Each equality-constrained subproblem (θ_A = 0)
+    is solved on the smaller side of the working set: through a Cholesky
+    factor of Q_FF when the free set F is smaller, else through one of
+    W_AA, with W = Q⁻¹ the block's inverse.  A sweep on a block of size m
+    costs O(min(|A|,|F|)³ + m·min(|A|,|F|) + m²).
     """
     m = z.size
+    Qz = Q @ z
 
     def subproblem(active_mask):
-        """Optimum with θ_A = 0: θ_F = z_F − W_FA W_AA⁻¹ z_A."""
+        """Optimum with θ_A = 0: θ_F = Q_FF⁻¹ (Qz)_F, or equivalently
+        θ_F = z_F − W_FA W_AA⁻¹ z_A."""
         A = np.flatnonzero(active_mask)
         if A.size == 0:
             return z.copy()
-        WAA = W[np.ix_(A, A)]
+        F = np.flatnonzero(~active_mask)
         try:
-            y = np.linalg.solve(WAA, z[A])
+            if F.size < A.size:
+                out = np.zeros(m)
+                if F.size:
+                    out[F] = _spd_solve(Q[np.ix_(F, F)], Qz[F])
+                return out
+            y = _spd_solve(W[np.ix_(A, A)], z[A])
         except np.linalg.LinAlgError as exc:
             raise OptimizerError("projection subproblem singular") from exc
         out = z - W[:, A] @ y
@@ -173,6 +184,12 @@ def _project_block(z, Q, W, constrained, active, tol):
             k = int(np.argmin(cand))
             active[k] = not active[k]
     raise OptimizerError("projection active-set did not converge")
+
+
+def _spd_solve(M, b):
+    """M⁻¹b by Cholesky for a gathered (so overwritable) SPD matrix M."""
+    cho = cho_factor(M, lower=True, overwrite_a=True, check_finite=False)
+    return cho_solve(cho, b, check_finite=False)
 
 
 # ---------------------------------------------------------------------------

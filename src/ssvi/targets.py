@@ -23,6 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, log_expit
 
+# Points per batched matmul in the non-linear GLM data Hessian.
+_HESSIAN_CHUNK = 64
+
 
 # ---------------------------------------------------------------------------
 # Regularity constants
@@ -327,9 +330,16 @@ class _GlmTarget(TargetPotential):
     def _data_hessian(self, beta):
         if self._sufficient:
             return np.broadcast_to(self.A, beta.shape[:-1] + self.A.shape)
-        return np.einsum("...n,ni,nj->...ij",
-                         self.family.deriv2(beta @ self.X.T) / self.c,
-                         self.X, self.X)
+        # Σₙ wₙ XₙXₙᵀ per point as batched matmuls over chunks of points,
+        # so the (chunk, k, n) temporary stays bounded.
+        w = self.family.deriv2(beta @ self.X.T) / self.c
+        flat = w.reshape(-1, w.shape[-1])
+        k = self.X.shape[1]
+        H = np.empty((flat.shape[0], k, k))
+        for s in range(0, flat.shape[0], _HESSIAN_CHUNK):
+            H[s:s + _HESSIAN_CHUNK] = (
+                self.X.T * flat[s:s + _HESSIAN_CHUNK, None, :]) @ self.X
+        return H.reshape(w.shape[:-1] + (k, k))
 
     def _psi_bounds(self):
         """Curvature bounds (b, B) of ψ; either may be None."""

@@ -118,6 +118,14 @@ class TestGram:
             with pytest.raises(DictionaryDegenerateError):
                 GramMatrix(coarse_spec, *blocks)
 
+    def test_inverse_matches_dense_inverse(self, coarse_gram):
+        for W, Qb in zip(coarse_gram.inverse,
+                         (coarse_gram.Q_root, coarse_gram.Q_leaf)):
+            want = np.linalg.inv(Qb)
+            assert np.array_equal(W, W.T)
+            np.testing.assert_allclose(W, want, rtol=0.0,
+                                       atol=1e-10 * np.abs(want).max())
+
     def test_solve_and_inverse(self, coarse_gram):
         rng = np.random.default_rng(2)
         x = rng.normal(size=coarse_gram.spec.p)

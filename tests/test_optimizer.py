@@ -95,6 +95,54 @@ class TestBlockProjection:
             active = cold_active
             z = z + 0.3 * rng.normal(size=spec.p)
 
+    @pytest.mark.parametrize("shift", [-1.0, 1.0])
+    def test_both_sides_of_the_subproblem(self, d4_gram, shift):
+        # a mostly negative z ends with |A| > |F| in every leaf (the Q_FF
+        # side), a mostly positive one with |A| <= |F| (the W_AA side)
+        spec = d4_gram.spec
+        cons = spec.constrained
+        rng = np.random.default_rng(11)
+        z = rng.normal(size=spec.p) + shift
+        ref = bvls_projection(d4_gram.Q, z, cons)
+        cold, active = project_cone_q(z, d4_gram, cons, return_active=True)
+        assert np.allclose(cold, ref, atol=1e-8)
+        for idx in spec.leaf_index:
+            n_active = np.isin(idx, active).sum()
+            if shift < 0:
+                assert n_active > idx.size - n_active
+            else:
+                assert n_active <= idx.size - n_active
+        # warm from the answer's own set, and from the opposite side's
+        other = project_cone_q(-z, d4_gram, cons, return_active=True)[1]
+        for warm_active in (active, other):
+            warm = project_cone_q(z, d4_gram, cons, warm_active=warm_active)
+            assert np.allclose(warm, ref, atol=1e-8)
+
+    def test_empty_active_set_returns_z(self, d4_gram):
+        spec = d4_gram.spec
+        z = np.abs(np.random.default_rng(12).normal(size=spec.p)) + 0.1
+        theta, active = project_cone_q(z, d4_gram, spec.constrained,
+                                       return_active=True)
+        assert active.size == 0
+        assert np.array_equal(theta, z)
+
+    def test_fully_active_root_block_returns_zero(self, d4_gram):
+        # z = −Q⁻¹1 on the root: every root multiplier Q(0 − z) = 1 is
+        # positive, so the all-active root block is optimal at θ = 0
+        spec = d4_gram.spec
+        cons = spec.constrained
+        root = np.arange(spec.N)
+        assert cons[root].all()
+        rng = np.random.default_rng(13)
+        z = np.abs(rng.normal(size=spec.p))
+        z[root] = -np.linalg.solve(d4_gram.Q_root, np.ones(spec.N))
+        theta, active = project_cone_q(z, d4_gram, cons, warm_active=root,
+                                       return_active=True)
+        assert np.array_equal(theta[root], np.zeros(spec.N))
+        assert np.isin(root, active).all()
+        assert np.allclose(theta, bvls_projection(d4_gram.Q, z, cons),
+                           atol=1e-8)
+
     def test_active_set_is_a_sorted_index_array(self, d4_gram):
         spec = d4_gram.spec
         cons = spec.constrained

@@ -333,5 +333,26 @@ class TestGlmDataTermOracle:
         t = _random_glm(kind, family, 3)
         rng = np.random.default_rng(7)
         for z in (rng.normal(size=t.d), rng.normal(size=(50, t.d))):
-            for name, oracle in self.ORACLES.items():
-                assert np.array_equal(getattr(t, name)(z), oracle(t, z))
+            for name in ("potential", "grad"):
+                assert np.array_equal(getattr(t, name)(z),
+                                      self.ORACLES[name](t, z))
+            # the data Hessian sums over observations in BLAS order
+            want = per_obs_hessian(t, z)
+            np.testing.assert_allclose(t.hessian(z), want, rtol=1e-12,
+                                       atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("kind", ["location", "spike_slab"])
+    @pytest.mark.parametrize("family", ["logistic", "poisson"])
+    def test_data_hessian_matches_einsum(self, kind, family):
+        # batch shapes that cross the chunk boundary, and a single point
+        t = _random_glm(kind, family, 4)
+        rng = np.random.default_rng(8)
+        k = t.X.shape[1]
+        for shape in ((), (150,), (3, 70)):
+            beta = 0.5 * rng.normal(size=shape + (k,))
+            want = np.einsum("...n,ni,nj->...ij",
+                             t.family.deriv2(beta @ t.X.T) / t.c, t.X, t.X)
+            got = t._data_hessian(beta)
+            assert got.shape == shape + (k, k)
+            np.testing.assert_allclose(got, want, rtol=1e-12,
+                                       atol=1e-12 * np.abs(want).max())
