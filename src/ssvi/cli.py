@@ -130,7 +130,7 @@ def _set_threads(n):
         from threadpoolctl import threadpool_limits
         threadpool_limits(limits=int(n))
     except ImportError:
-        pass  # reductions are fixed-order; outputs do not depend on threads
+        pass  # without threadpoolctl installed, --threads does nothing
 
 
 # ---------------------------------------------------------------------------

@@ -422,13 +422,15 @@ def _symmetric_inverse(cho):
 
 
 def _power_inv_norm(cho):
-    """‖A⁻¹‖₂ by power iteration on Cholesky solves (rel. tol 1e−6)."""
+    """‖A⁻¹‖₂ by power iteration on Cholesky solves (rel. tol 1e−6).
+
+    ``cho_factor`` checked A for NaN/inf, so the solves skip that scan."""
     rng = np.random.default_rng(0)
     v = rng.standard_normal(cho[0].shape[0])
     v /= np.linalg.norm(v)
     lam = 0.0
     for _ in range(500):
-        y = cho_solve(cho, v)
+        y = cho_solve(cho, v, check_finite=False)
         lam_new = float(np.linalg.norm(y))
         v = y / lam_new
         if abs(lam_new - lam) <= 1e-6 * lam_new:

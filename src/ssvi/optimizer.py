@@ -27,6 +27,7 @@ from .objective import SaaSample, TargetOverflowError, free_energy, gradient
 from .starmap import ConeViolationError, StarMapParams
 
 MAX_HALVINGS = 10
+PROJ_TOL = 1e-10
 
 
 class OptimizerError(RuntimeError):
@@ -40,7 +41,6 @@ class PgdConfig:
     step_size: float | None = None
     max_iters: int = 5000
     tol: float = 1e-6
-    proj_tol: float = 1e-10
     seed: int = 0
     n_samples: int = 20000
 
@@ -79,9 +79,8 @@ def compute_upsilon(consts, spec, gram) -> float:
 # Projection onto the cone under the Q-norm
 # ---------------------------------------------------------------------------
 
-def project_cone_q(z, gram, constrained, warm_active=None, tol=1e-10,
-                   return_active=False):
-    """argmin_{θ: θ_i ≥ 0 for i constrained} ‖θ − z‖_Q².
+def project_cone_q(z, gram, constrained, warm_active=None):
+    """argmin_{θ: θ_i ≥ 0 for i constrained} ‖θ − z‖_Q², as (θ, A).
 
     Q is block-diagonal by coordinate and the cone is a product of
     per-coordinate cones, so the problem splits into one QP per block of
@@ -89,14 +88,14 @@ def project_cone_q(z, gram, constrained, warm_active=None, tol=1e-10,
     one W = Q⁻¹ block.  Each is solved by ``_project_block`` and
     warm-started from its slice of ``warm_active``, an integer array of
     global indices (unconstrained ones are ignored); without it the working
-    set starts at the constrained indices with z < 0.  A pivoting sweep on a
-    block of size m costs O(min(|A|,|F|)³ + m·min(|A|,|F|) + m²), for the
-    block's working set A and free set F.  Terminates with KKT residual
-    below ``tol``, checked on the assembled θ.
+    set starts at the constrained indices with z < 0.
 
-    With ``return_active`` the result is (θ, A): A is the final working set
-    as a sorted ``np.intp`` array of constrained global indices, all with
-    θ = 0, and ``len(A)`` is |A|.  It can be fed back as ``warm_active``.
+    A is the final working set as a sorted ``np.intp`` array of constrained
+    global indices, all with θ = 0, and ``len(A)`` is |A|; it can be fed
+    back as ``warm_active``.  The KKT residual, the largest multiplier
+    |Q(θ − z)| off the working set in any block's final sweep, must be at
+    most ``PROJ_TOL``·max(1, ‖Qz‖∞); otherwise (NaN included) this raises
+    ``OptimizerError``.
     """
     z = np.asarray(z, dtype=float)
     constrained = np.asarray(constrained, dtype=bool)
@@ -109,24 +108,26 @@ def project_cone_q(z, gram, constrained, warm_active=None, tol=1e-10,
         active &= constrained
 
     theta = np.empty_like(z)
+    kkt = []  # (r, s) of each block
     for idx, Q, W in gram.blocks():
         block_active = active[idx]
-        theta[idx] = _project_block(z[idx], Q, W, constrained[idx],
-                                    block_active, tol)
+        theta[idx], r, s = _project_block(z[idx], Q, W, constrained[idx],
+                                          block_active)
         active[idx] = block_active
+        kkt.append((r, s))
 
-    theta[constrained & (np.abs(theta) < 1e-15)] = 0.0
-    g = gram.matvec(theta - z)
-    resid = float(np.abs(g[~active]).max(initial=0.0))
-    if resid > tol * max(1.0, float(np.abs(gram.matvec(z)).max())):
+    # np.max and np.maximum propagate NaN, so a NaN anywhere fails the test
+    resid, scale = np.max(kkt, axis=0)
+    if not resid <= PROJ_TOL * np.maximum(1.0, scale):
         raise OptimizerError(f"projection KKT residual {resid:.2e}")
-    if return_active:
-        return theta, np.flatnonzero(active)
-    return theta
+    return theta, np.flatnonzero(active)
 
 
-def _project_block(z, Q, W, constrained, active, tol):
+def _project_block(z, Q, W, constrained, active):
     """Projection onto one block's cone; ``active`` is updated in place.
+
+    Returns (θ, r, s): r = max |μ| off the working set for the final
+    sweep's multipliers μ = Q(θ − z), and s = ‖Qz‖∞.
 
     Primal active-set method.  Each equality-constrained subproblem (θ_A = 0)
     is solved on the smaller side of the working set: through a Cholesky
@@ -166,10 +167,11 @@ def _project_block(z, Q, W, constrained, active, tol):
         theta = subproblem(active)
         mu = Q @ (theta - z)
         primal = constrained & ~active & (theta < -1e-14)
-        dual = active & (mu < -tol)
+        dual = active & (mu < -PROJ_TOL)
         n_infeas = int(primal.sum() + dual.sum())
         if n_infeas == 0:
-            return theta
+            return (theta, np.abs(mu[~active]).max(initial=0.0),
+                    np.abs(Qz).max())
         if n_infeas < best_infeas:
             best_infeas = n_infeas
             block_budget = 30
@@ -236,9 +238,6 @@ def run_pgd(target, spec, gram, config: PgdConfig, consts=None,
     alpha_strong = min(consts.ell, consts.ell_root)
     kappa = (L + upsilon) / alpha_strong if alpha_strong > 0 else math.inf
 
-    # The default 1/(L+Υ) descends without halving unless the regularity
-    # constants carry warnings; a user-given step has no such guarantee.
-    safeguard = config.step_size is not None or bool(consts.warnings)
     if config.step_size is None:
         h = 1.0 / (L + upsilon)
     else:
@@ -269,36 +268,32 @@ def run_pgd(target, spec, gram, config: PgdConfig, consts=None,
         glam, gv = gradient(params, spec, target, sample, state=fe.state)
         nat = gram.solve(glam)
 
-        # sticky step: every iteration first tries double the last accepted
-        # step (capped at h), also right after an iteration that halved.
+        # Sticky step: every iteration first tries double the last accepted
+        # step (capped at h), also right after an iteration that halved, and
+        # halves until F̂ does not rise.  The default 1/(L+Υ) descends when
+        # the regularity constants hold, so it is never halved then.
         # The first trial's projection starts from the iterate's active set,
         # each halving's from the set of the trial it rejected: the halved
         # point lies between the two, far nearer the rejected trial.
-        step = min(h, 2.0 * cur_step) if safeguard else h
-        n_halved = 0
+        step = min(h, 2.0 * cur_step)
         warm = active
-        while True:
+        for n_halved in range(MAX_HALVINGS + 1):
             fe = None
             lam_new, warm = project_cone_q(
                 params.lam - step * nat, gram, spec.constrained,
-                warm_active=warm, tol=config.proj_tol, return_active=True)
+                warm_active=warm)
             v_new = params.v - step * gv
             trial = StarMapParams(params.alpha, lam_new, v_new)
             try:
                 fe = free_energy(trial, spec, target, sample)
             except (TargetOverflowError, ConeViolationError):
-                if n_halved >= MAX_HALVINGS:
+                if n_halved == MAX_HALVINGS:
                     raise
-            if fe is not None and (
-                    fe.value <= fvals[-1] + 1e-12 or not safeguard):
-                break
-            if n_halved >= MAX_HALVINGS:
-                if fe is None:
-                    raise OptimizerError(
-                        "step halvings exhausted without a finite step")
+            # the last trial is kept even if F̂ rose
+            if fe is not None and (fe.value <= fvals[-1] + 1e-12
+                                   or n_halved == MAX_HALVINGS):
                 break
             step *= 0.5
-            n_halved += 1
         cur_step = step
 
         dlam = trial.lam - params.lam

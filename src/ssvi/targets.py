@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.special import expit, log_expit
@@ -175,52 +176,32 @@ class GaussianTarget(TargetPotential):
 
 @dataclass(frozen=True)
 class LogPartition:
-    """Log-partition function of an exponential family.
+    """Log-partition function ψ of an exponential family.
 
-    ``curv_lower``/``curv_upper`` are global bounds on the second derivative;
-    None means unavailable (must be user-supplied or overridden).
+    ``value``, ``deriv`` and ``deriv2`` evaluate ψ, ψ' and ψ'' elementwise.
+    ``curv_lower``/``curv_upper`` are global bounds on ψ''; None means
+    unavailable (must be user-supplied or overridden).
     """
 
     name: str
+    value: Callable
+    deriv: Callable
+    deriv2: Callable
     curv_lower: float | None
     curv_upper: float | None
 
-    def value(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.name == "linear":
-            return 0.5 * t * t
-        if self.name == "logistic":
-            return -log_expit(-t)
-        if self.name == "poisson":
-            return np.exp(t)
-        raise ValueError(self.name)
 
-    def deriv(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.name == "linear":
-            return t
-        if self.name == "logistic":
-            return expit(t)
-        if self.name == "poisson":
-            return np.exp(t)
-        raise ValueError(self.name)
-
-    def deriv2(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.name == "linear":
-            return np.ones_like(t)
-        if self.name == "logistic":
-            s = expit(t)
-            return s * (1.0 - s)
-        if self.name == "poisson":
-            return np.exp(t)
-        raise ValueError(self.name)
+def _logistic_deriv2(t):
+    s = expit(t)
+    return s * (1.0 - s)
 
 
 LOG_PARTITIONS = {
-    "linear": LogPartition("linear", 1.0, 1.0),
-    "logistic": LogPartition("logistic", None, 0.25),
-    "poisson": LogPartition("poisson", None, None),
+    "linear": LogPartition("linear", lambda t: 0.5 * t * t, lambda t: t,
+                           np.ones_like, 1.0, 1.0),
+    "logistic": LogPartition("logistic", lambda t: -log_expit(-t), expit,
+                             _logistic_deriv2, None, 0.25),
+    "poisson": LogPartition("poisson", np.exp, np.exp, np.exp, None, None),
 }
 
 

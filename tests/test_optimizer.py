@@ -6,8 +6,10 @@ from scipy.optimize import lsq_linear
 
 import ssvi
 from ssvi import objective, optimizer
-from ssvi.optimizer import (PgdConfig, compute_upsilon, map_point,
-                            project_cone_q, run_pgd)
+from ssvi.objective import TargetOverflowError
+from ssvi.optimizer import (MAX_HALVINGS, OptimizerError, PgdConfig,
+                            compute_upsilon, map_point, project_cone_q,
+                            run_pgd)
 
 
 class FakeGram:
@@ -18,9 +20,6 @@ class FakeGram:
 
     def blocks(self):
         yield np.arange(len(self.Q)), self.Q, np.linalg.inv(self.Q)
-
-    def matvec(self, x):
-        return self.Q @ x
 
 
 def bvls_projection(Q, z, constrained):
@@ -34,14 +33,14 @@ def bvls_projection(Q, z, constrained):
 class TestProjection:
     def test_euclidean_clipping(self):
         gram = FakeGram(np.eye(2))
-        got = project_cone_q(np.array([-1.0, 2.0]), gram,
-                             np.array([True, True]))
+        got, _ = project_cone_q(np.array([-1.0, 2.0]), gram,
+                                np.array([True, True]))
         assert np.allclose(got, [0.0, 2.0])
 
     def test_free_coordinates_pass_through(self):
         gram = FakeGram(np.eye(3))
-        got = project_cone_q(np.array([-1.0, -2.0, 3.0]), gram,
-                             np.array([True, False, True]))
+        got, _ = project_cone_q(np.array([-1.0, -2.0, 3.0]), gram,
+                                np.array([True, False, True]))
         assert np.allclose(got, [0.0, -2.0, 3.0])
 
     def test_matches_bvls_oracle(self):
@@ -53,7 +52,7 @@ class TestProjection:
             gram = FakeGram(Q)
             z = rng.normal(size=p) * 2.0
             constrained = rng.uniform(size=p) < 0.7
-            got = project_cone_q(z, gram, constrained)
+            got, _ = project_cone_q(z, gram, constrained)
             ref = bvls_projection(Q, z, constrained)
             assert np.allclose(got, ref, atol=1e-8)
 
@@ -63,11 +62,22 @@ class TestProjection:
         gram = FakeGram(Q)
         z = rng.normal(size=8)
         cons = np.ones(8, dtype=bool)
-        cold = project_cone_q(z, gram, cons)
+        cold, _ = project_cone_q(z, gram, cons)
         warm, active = project_cone_q(z, gram, cons,
-                                      warm_active=np.array([0, 3]),
-                                      return_active=True)
+                                      warm_active=np.array([0, 3]))
         assert np.allclose(cold, warm, atol=1e-12)
+
+    def test_nan_fails_the_kkt_check(self):
+        # NaN multipliers compare False against any bound, so the check
+        # must fail unless the residual is provably small
+        gram = FakeGram(np.eye(3) + 0.1)
+        z = np.array([np.nan, 1.0, -2.0])
+        cons = np.ones(3, dtype=bool)
+        with pytest.raises(OptimizerError, match="KKT residual nan"):
+            project_cone_q(z, gram, cons)
+        # all active: no multiplier is off the working set, but ‖Qz‖∞ is NaN
+        with pytest.raises(OptimizerError, match="KKT residual"):
+            project_cone_q(z, gram, cons, warm_active=np.arange(3))
 
 
 class TestBlockProjection:
@@ -81,8 +91,7 @@ class TestBlockProjection:
         active = None
         for _ in range(4):
             ref = bvls_projection(d4_gram.Q, z, cons)
-            cold, cold_active = project_cone_q(z, d4_gram, cons,
-                                               return_active=True)
+            cold, cold_active = project_cone_q(z, d4_gram, cons)
             assert np.allclose(cold, ref, atol=1e-8)
             # the active set is in global indices and touches every block
             idx = np.fromiter(cold_active, dtype=int)
@@ -90,7 +99,8 @@ class TestBlockProjection:
             for block in (np.arange(spec.N), *spec.leaf_index):
                 assert np.isin(block, idx).any()
             if active is not None:
-                warm = project_cone_q(z, d4_gram, cons, warm_active=active)
+                warm, _ = project_cone_q(z, d4_gram, cons,
+                                         warm_active=active)
                 assert np.allclose(warm, ref, atol=1e-8)
             active = cold_active
             z = z + 0.3 * rng.normal(size=spec.p)
@@ -104,7 +114,7 @@ class TestBlockProjection:
         rng = np.random.default_rng(11)
         z = rng.normal(size=spec.p) + shift
         ref = bvls_projection(d4_gram.Q, z, cons)
-        cold, active = project_cone_q(z, d4_gram, cons, return_active=True)
+        cold, active = project_cone_q(z, d4_gram, cons)
         assert np.allclose(cold, ref, atol=1e-8)
         for idx in spec.leaf_index:
             n_active = np.isin(idx, active).sum()
@@ -113,16 +123,16 @@ class TestBlockProjection:
             else:
                 assert n_active <= idx.size - n_active
         # warm from the answer's own set, and from the opposite side's
-        other = project_cone_q(-z, d4_gram, cons, return_active=True)[1]
+        other = project_cone_q(-z, d4_gram, cons)[1]
         for warm_active in (active, other):
-            warm = project_cone_q(z, d4_gram, cons, warm_active=warm_active)
+            warm, _ = project_cone_q(z, d4_gram, cons,
+                                     warm_active=warm_active)
             assert np.allclose(warm, ref, atol=1e-8)
 
     def test_empty_active_set_returns_z(self, d4_gram):
         spec = d4_gram.spec
         z = np.abs(np.random.default_rng(12).normal(size=spec.p)) + 0.1
-        theta, active = project_cone_q(z, d4_gram, spec.constrained,
-                                       return_active=True)
+        theta, active = project_cone_q(z, d4_gram, spec.constrained)
         assert active.size == 0
         assert np.array_equal(theta, z)
 
@@ -136,8 +146,7 @@ class TestBlockProjection:
         rng = np.random.default_rng(13)
         z = np.abs(rng.normal(size=spec.p))
         z[root] = -np.linalg.solve(d4_gram.Q_root, np.ones(spec.N))
-        theta, active = project_cone_q(z, d4_gram, cons, warm_active=root,
-                                       return_active=True)
+        theta, active = project_cone_q(z, d4_gram, cons, warm_active=root)
         assert np.array_equal(theta[root], np.zeros(spec.N))
         assert np.isin(root, active).all()
         assert np.allclose(theta, bvls_projection(d4_gram.Q, z, cons),
@@ -148,7 +157,7 @@ class TestBlockProjection:
         cons = spec.constrained
         rng = np.random.default_rng(7)
         z = rng.normal(size=spec.p)
-        theta, active = project_cone_q(z, d4_gram, cons, return_active=True)
+        theta, active = project_cone_q(z, d4_gram, cons)
         assert isinstance(active, np.ndarray)
         assert active.dtype == np.intp and active.ndim == 1
         assert np.all(np.diff(active) > 0)
@@ -162,8 +171,7 @@ class TestBlockProjection:
         for warm_active in (active,
                             np.union1d(active, np.flatnonzero(~cons))):
             warm, warm_set = project_cone_q(z2, d4_gram, cons,
-                                            warm_active=warm_active,
-                                            return_active=True)
+                                            warm_active=warm_active)
             assert np.allclose(warm, ref, atol=1e-8)
             assert np.array_equal(warm_set,
                                   np.flatnonzero(cons & (warm == 0.0)))
@@ -249,6 +257,8 @@ class TestRunPgd:
         assert np.all(np.diff(res.free_energy_trace) <= 1e-10)
 
     def test_only_a_given_step_is_halved(self, gauss2_target):
+        # halving is always on, but the default 1/(L+Υ) from the target's
+        # own constants descends, so only the too-long given step halves
         spec = ssvi.build_dictionary(2, 2.0, 1.0)
         gram = ssvi.gram_matrix(spec)
         given = run_pgd(gauss2_target, spec, gram,
@@ -259,6 +269,62 @@ class TestRunPgd:
         default = run_pgd(gauss2_target, spec, gram,
                           PgdConfig(max_iters=5, n_samples=1000, seed=0))
         assert not default.halving_trace.any()
+
+    def test_understated_constants_are_halved(self, gauss2_target):
+        # constants far below the true curvature and without warnings make
+        # the default step far too long; halving keeps F̂ nonincreasing
+        spec = ssvi.build_dictionary(2, 2.0, 1.0)
+        gram = ssvi.gram_matrix(spec)
+        consts = ssvi.RegularityConstants(1e-6, 1e-6, 1e-6, 1e-6)
+        assert not consts.warnings
+        res = run_pgd(gauss2_target, spec, gram,
+                      PgdConfig(max_iters=8, n_samples=1000, seed=0),
+                      consts=consts, init=ssvi.identity_params(spec))
+        assert res.iterations == 8
+        assert res.halving_trace.sum() >= 1
+        assert np.all(np.diff(res.free_energy_trace) <= 1e-12)
+
+    def test_overflowing_trial_is_halved(self, gauss2_target, monkeypatch):
+        # the first trial's potential overflows: it is halved, and the fit
+        # goes on from the halved step
+        spec = ssvi.build_dictionary(2, 2.0, 1.0)
+        cfg = PgdConfig(step_size=0.5, max_iters=3, n_samples=1000, seed=0)
+        evaluate = optimizer.free_energy
+        calls = []
+
+        def overflow_once(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:  # call 1 is the initial point
+                raise TargetOverflowError("overflow")
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "free_energy", overflow_once)
+        res = run_pgd(gauss2_target, spec, ssvi.gram_matrix(spec), cfg)
+        assert res.iterations == 3
+        assert res.halving_trace[0] >= 1
+        assert np.all(np.isfinite(res.free_energy_trace))
+        assert np.all(np.diff(res.free_energy_trace) <= 1e-12)
+
+    def test_overflow_after_the_last_halving_is_raised(self, gauss2_target,
+                                                       monkeypatch):
+        spec = ssvi.build_dictionary(2, 2.0, 1.0)
+        cfg = PgdConfig(step_size=0.5, max_iters=3, n_samples=1000, seed=0)
+        evaluate = optimizer.free_energy
+        calls = []
+        error = TargetOverflowError("every trial overflows")
+
+        def overflow_after_init(*args, **kwargs):
+            calls.append(None)
+            if len(calls) > 1:
+                raise error
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "free_energy", overflow_after_init)
+        with pytest.raises(TargetOverflowError) as info:
+            run_pgd(gauss2_target, spec, ssvi.gram_matrix(spec), cfg)
+        assert info.value is error
+        # the initial point, then the first trial and MAX_HALVINGS halvings
+        assert len(calls) == 1 + 1 + MAX_HALVINGS
 
     def test_halvings_warm_start_from_the_rejected_trial(
             self, gauss2_target, monkeypatch):
