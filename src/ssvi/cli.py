@@ -94,10 +94,27 @@ def _pgd_config(cfg, args):
         raise ConfigError(f"optimizer: {exc}") from exc
 
 
+def _constants(target):
+    try:
+        return target.regularity_constants()
+    except ValueError as exc:
+        raise ConfigError(f"target: {exc}") from exc
+
+
 def _fit(cfg, args, target, spec):
     """Run the optimizer block of ``cfg`` on ``target`` over ``spec``."""
     pgd = _pgd_config(cfg, args)
-    return run_pgd(target, spec, gram_matrix(spec), pgd)
+    consts = _constants(target)
+    return run_pgd(target, spec, gram_matrix(spec), pgd, consts=consts)
+
+
+def _load_params(path, spec):
+    try:
+        with open(path) as fh:
+            return params_from_json(json.load(fh), spec)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(
+            f"diagnostics.params_path: {type(exc).__name__}: {exc}") from exc
 
 
 def _out_dir(cfg, args):
@@ -232,12 +249,13 @@ def cmd_diagnose(cfg, args):
     if unknown:
         raise ConfigError(f"diagnostics: unknown keys {sorted(unknown)}")
     grid_sizes = dblock.get("grid_sizes", 9)
-    mc_n = args.mc_samples or dblock.get("mc_n", 2000)
+    mc_n = (args.mc_samples if args.mc_samples is not None
+            else dblock.get("mc_n", 2000))
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    consts = _constants(target)
 
     if "params_path" in dblock:
-        with open(dblock["params_path"]) as fh:
-            params, spec = params_from_json(json.load(fh), spec)
+        params, spec = _load_params(dblock["params_path"], spec)
     else:
         params = _fit(cfg, args, target, spec).params
 
@@ -246,7 +264,6 @@ def cmd_diagnose(cfg, args):
                                            grid_sizes, mc_n, seed)
     except ValueError as exc:
         raise ConfigError(f"diagnostics: {exc}") from exc
-    consts = target.regularity_constants()
     cert = approximation_bound(target, consts, mc_n=mc_n, seed=seed,
                                params=params, spec=spec)
     mean, cov, mean_se, _ = pushforward_moments(params, spec, mc_n, seed)

@@ -4,7 +4,8 @@ Three families of checks:
   * self-consistency residuals — the fixed-point identities the optimal
     star measure satisfies: ∂₁ log p*(z₁) = −E[∂₁V(Z) | Z₁ = z₁] for the
     root marginal and ∂ᵢ log qᵢ*(zᵢ|z₁) = −E[∂ᵢV(Z) | Z₁, Zᵢ] for each
-    leaf conditional;
+    leaf conditional, with the scores in closed form (−x/T′(x) at the
+    exact inverse of each piecewise-linear 1-D map);
   * an approximation-bound certificate — a Monte Carlo estimate of the
     right-hand side (L'_V/(2ℓ'_Vℓ_V²))·Σ_{1≤i<j leaf} Ê[(∂ᵢⱼV)²], with the
     exact KL and slack on the Gaussian path;
@@ -18,11 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gaussian_oracle import GaussianDist, kl_gaussians, ssvi_gaussian
-from .starmap import (StarMapParams, _map_1d, forward, invert_root,
-                      leaf_conditional_logdensity, leaf_profile,
-                      root_marginal_logdensity)
-
-_FD_STEP = 1e-4
+from .starmap import (StarMapParams, _invert_1d, _map_1d, _root_1d, forward,
+                      invert_root, leaf_profile)
 
 
 class DiagnosticsError(ValueError):
@@ -78,14 +76,6 @@ class BoundCertificate:
 # helpers
 # ---------------------------------------------------------------------------
 
-def _richardson(f, z, h=_FD_STEP):
-    """Central-difference derivative with one Richardson level."""
-    d1 = (f(z + h) - f(z - h)) / (2.0 * h)
-    h2 = h / 2.0
-    d2 = (f(z + h2) - f(z - h2)) / (2.0 * h2)
-    return (4.0 * d2 - d1) / 3.0
-
-
 def _conditional_sample(params, spec, z1, rng, mc_n, skip=None):
     """Draw mc_n points from the fitted measure conditioned on Z₁ = z₁.
 
@@ -134,70 +124,62 @@ def self_consistency_residual(params, spec, target, grid_sizes=9, mc_n=2000,
                               seed=0) -> ResidualReport:
     """Residuals of the fixed-point equations on a ±3-std pushforward grid.
 
-    Log-density derivatives use central differences (step 1e−4, one
-    Richardson level); conditional expectations of ∇V use Monte Carlo with
-    fresh leaf normals transported at the conditioned root value.  Each
-    grid point draws from its own RNG stream derived from (seed, index).
+    The score of a 1-D pushforward of N(0, 1) through an increasing
+    piecewise-linear T is −x/T′(x) at x = T⁻¹(z), exact off the knots;
+    conditional expectations of ∇V use Monte Carlo with fresh leaf normals
+    transported at the conditioned root value.  Each grid point draws from
+    its own RNG stream derived from (seed, index).
     """
     if mc_n < 100:
         raise DiagnosticsError("mc_n must be at least 100")
     n_root, n_leaf = _grid_sizes(grid_sizes)
-    d = spec.d
 
     mean, cov, _, _ = pushforward_moments(params, spec, max(mc_n, 2000), seed)
     std = np.sqrt(np.diag(cov))
 
-    # Grid points offset by an irrational fraction of the cell so the
-    # central-difference stencil stays away from density kinks.
+    # Grid points offset by an irrational fraction of the cell, off the
+    # map's knots, where the score jumps.
     def ogrid(lo, hi, n):
         g = np.linspace(lo, hi, n)
         return g + 0.137 * (g[1] - g[0]) if n > 1 else g
 
     root_grid = ogrid(mean[0] - 3 * std[0], mean[0] + 3 * std[0], n_root)
-    root_res = np.empty(n_root)
-    root_se = np.empty(n_root)
+    root_res, root_se = np.empty((2, n_root))
     normalized = []
 
+    def residual(score, g, where):
+        """r = score + Ê[g] and Ê[g]'s std error; notes |r|/(1 + |Ê[g]|)."""
+        e = float(g.mean())
+        r = score + e
+        if not np.isfinite(r):
+            raise DiagnosticsError(f"nonfinite {where}")
+        normalized.append(abs(r) / (1.0 + abs(e)))
+        return r, float(g.std(ddof=1) / np.sqrt(mc_n))
+
+    x, slope = _invert_1d(spec, *_root_1d(params, spec), root_grid)
     for gi, z1 in enumerate(root_grid):
         rng = np.random.default_rng([seed, gi])
-        dlogp = _richardson(
-            lambda z: root_marginal_logdensity(params, spec, z), z1)
         Z, _ = _conditional_sample(params, spec, z1, rng, mc_n)
-        g1 = target.grad(Z)[:, 0]
-        e = float(g1.mean())
-        se = float(g1.std(ddof=1) / np.sqrt(mc_n))
-        r = dlogp + e
-        root_res[gi] = r
-        root_se[gi] = se
-        normalized.append(abs(r) / (1.0 + abs(e)))
-        if not np.isfinite(r):
-            raise DiagnosticsError(f"nonfinite root residual at z1={z1}")
+        root_res[gi], root_se[gi] = residual(
+            -x[gi] / slope[gi], target.grad(Z)[:, 0],
+            f"root residual at z1={z1}")
 
     leaf_grids, leaf_res, leaf_se = [], [], []
     root_sub = ogrid(mean[0] - 3 * std[0], mean[0] + 3 * std[0],
                      max(3, n_root // 3))
-    for i in range(1, d):
+    for i in range(1, spec.d):
         zi_grid = ogrid(mean[i] - 3 * std[i], mean[i] + 3 * std[i], n_leaf)
         pts = np.array([(z1, zi) for z1 in root_sub for zi in zi_grid])
-        res = np.empty(len(pts))
-        ses = np.empty(len(pts))
+        res, ses = np.empty((2, len(pts)))
         for gi, (z1, zi) in enumerate(pts):
             rng = np.random.default_rng([seed, i, gi])
-            dlogq = _richardson(
-                lambda z: leaf_conditional_logdensity(params, spec, i, z, z1),
-                zi)
-            Z, _ = _conditional_sample(params, spec, z1, rng, mc_n, skip=i)
+            Z, x1 = _conditional_sample(params, spec, z1, rng, mc_n, skip=i)
             Z[:, i] = zi
-            gvi = target.grad(Z)[:, i]
-            e = float(gvi.mean())
-            se = float(gvi.std(ddof=1) / np.sqrt(mc_n))
-            r = dlogq + e
-            res[gi] = r
-            ses[gi] = se
-            normalized.append(abs(r) / (1.0 + abs(e)))
-            if not np.isfinite(r):
-                raise DiagnosticsError(
-                    f"nonfinite leaf residual at (z1={z1}, z{i}={zi})")
+            xi, slope = _invert_1d(spec, params.alpha[i],
+                                   *leaf_profile(params, spec, i, x1), zi)
+            res[gi], ses[gi] = residual(
+                -xi / slope, target.grad(Z)[:, i],
+                f"leaf residual at (z1={z1}, z{i}={zi})")
         leaf_grids.append(pts)
         leaf_res.append(res)
         leaf_se.append(ses)

@@ -174,13 +174,14 @@ class DictionarySpec:
     def _build_centering(self):
         B, delta = self.breakpoints, self.delta
         rm = ramp_mean(B, delta)
+        fmean = np.r_[1.0, rm]
+        gmean = np.r_[rm, cell_up_mean(B, delta), cell_down_mean(B, delta),
+                      self.tail_hi, self.tail_lo]
+        f, g = _leaf_factors(self.N)
         c = np.empty(self.p)
         c[:self.N] = rm
-        # one leaf vector, identical for every leaf: (j, m) layout for M1/M2
-        c[self.leaf_index] = np.concatenate([
-            np.outer(cell_up_mean(B, delta), rm).reshape(-1),
-            np.outer(cell_down_mean(B, delta), rm).reshape(-1),
-            rm * self.tail_hi, rm * self.tail_lo, rm])
+        # a leaf basis's mean is its factors' product, the same every leaf
+        c[self.leaf_index] = gmean[g] * fmean[f]
         return c
 
     # -- pointwise basis evaluation (reference path; the map evaluator in
@@ -302,29 +303,13 @@ def _factor_tables(spec: DictionarySpec):
     return F, G
 
 
-def _leaf_factor_indices(spec: DictionarySpec):
-    """(f, g) factor indices of one leaf block in canonical order."""
-    N = spec.N
-    f = []
-    g = []
-    # M1: j (root cell) outer, m (leaf ramp) inner
-    for j in range(N):
-        f.extend(range(1, N + 1))
-        g.extend([N + j] * N)
-    # M2
-    for j in range(N):
-        f.extend(range(1, N + 1))
-        g.extend([2 * N + j] * N)
-    # M3
-    f.extend(range(1, N + 1))
-    g.extend([3 * N] * N)
-    # M4
-    f.extend(range(1, N + 1))
-    g.extend([3 * N + 1] * N)
-    # M5: f is the constant, g the root ramp
-    f.extend([0] * N)
-    g.extend(range(N))
-    return np.array(f), np.array(g)
+def _leaf_factors(N):
+    """(f, g) factor indices of one leaf block in canonical order: table
+    row r (M1, M2 by root cell, then M3, M4) pairs leaf ramp m (f = 1+m)
+    with root factor g = N+r, and M5 the constant (f = 0) with root ramp m."""
+    f = np.r_[np.tile(np.arange(1, N + 1), 2 * N + 2), np.zeros(N, int)]
+    g = np.r_[np.repeat(np.arange(N, 3 * N + 2), N), np.arange(N)]
+    return f, g
 
 
 class GramMatrix:
@@ -445,7 +430,7 @@ def _compute_gram(spec: DictionarySpec):
     F, G = _factor_tables(spec)
     c0 = spec.centering[:N]
     Q_root = F[1:, 1:] - np.outer(c0, c0)
-    fidx, gidx = _leaf_factor_indices(spec)
+    fidx, gidx = _leaf_factors(N)
     leaf_c = spec.centering[spec.leaf_index[0]]
     Q_leaf = F[np.ix_(fidx, fidx)] * G[np.ix_(gidx, gidx)] \
         - np.outer(leaf_c, leaf_c)

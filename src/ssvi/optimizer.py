@@ -44,6 +44,12 @@ class PgdConfig:
     seed: int = 0
     n_samples: int = 20000
 
+    def __post_init__(self):
+        if self.step_size is not None and not self.step_size > 0:
+            raise ValueError("step_size must be positive")
+        if not self.n_samples >= 1:
+            raise ValueError("n_samples must be positive")
+
     @classmethod
     def from_dict(cls, block):
         allowed = {f for f in cls.__dataclass_fields__}
@@ -242,8 +248,6 @@ def run_pgd(target, spec, gram, config: PgdConfig, consts=None,
         h = 1.0 / (L + upsilon)
     else:
         h = float(config.step_size)
-    if h <= 0:
-        raise ValueError("step size must be positive")
 
     if sample is None:
         sample = SaaSample.build(config.seed, config.n_samples, spec.d)

@@ -258,24 +258,21 @@ def _map_1d(spec, a, mu, const, x):
 
 
 def _invert_1d(spec, a, mu, const, z):
-    """x with _map_1d(x) = z by bisection (tol 1e−12, max 200 iterations)."""
-    lo = (z - const - float(mu.sum())) / a - 1e-9
-    hi = (z - const) / a + 1e-9
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        below = _map_1d(spec, a, mu, const, mid)[0] < z
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-        if np.max(hi - lo) < 1e-12:
-            break
-    return 0.5 * (lo + hi)
+    """x with _map_1d(x) = z, and T′(x): with a > 0 and mu ≥ 0 the map is
+    increasing and linear between its N+1 knots, so one linear equation per
+    point gives x (a knot takes its right cell, as in ``_map_1d``)."""
+    knots = np.append(spec.breakpoints, spec.R)
+    tk = a * knots + _prefix(mu) + const
+    j = np.searchsorted(tk, z, side="right")  # cell j−1; 0 and N+1 tails
+    k = np.clip(j - 1, 0, spec.N)
+    slope = a + np.pad(mu, 1)[j] / spec.delta
+    return knots[k] + (z - tk[k]) / slope, slope
 
 
 def _logdensity_1d(spec, a, mu, const, z):
     """log-density at z of the 1-D map's pushforward of N(0, 1)."""
     z = np.asarray(z, dtype=float)
-    x = _invert_1d(spec, a, mu, const, np.atleast_1d(z))
-    slope = _map_1d(spec, a, mu, const, x)[1]
+    x, slope = _invert_1d(spec, a, mu, const, np.atleast_1d(z))
     out = -0.5 * x * x - _HALF_LOG_2PI - np.log(slope)
     return float(out[0]) if z.ndim == 0 else out
 
@@ -288,9 +285,9 @@ def _root_1d(params, spec):
 
 
 def invert_root(params, spec, z1):
-    """x₁ = T₁⁻¹(z₁) by bisection (tol 1e−12, max 200 iterations)."""
+    """x₁ = T₁⁻¹(z₁), exact: T₁ is piecewise linear and increasing."""
     z1 = np.asarray(z1, dtype=float)
-    x = _invert_1d(spec, *_root_1d(params, spec), np.atleast_1d(z1))
+    x = _invert_1d(spec, *_root_1d(params, spec), np.atleast_1d(z1))[0]
     return float(x[0]) if z1.ndim == 0 else x
 
 
@@ -395,14 +392,14 @@ def params_from_json(block, spec: DictionarySpec | None = None):
     meta = block["dict"]
     if spec is None:
         spec = build_dictionary(meta["d"], meta["R"], meta["delta"])
-    if meta.get("ordering_version") != spec.ordering_version:
+    if meta != spec.metadata():  # grid or ordering_version differs
         raise ValueError(
-            f"ordering_version mismatch: file has "
-            f"{meta.get('ordering_version')!r}, expected "
-            f"{spec.ordering_version!r}")
+            f"dictionary mismatch: file has {meta}, expected "
+            f"{spec.metadata()}")
     params = StarMapParams(np.asarray(block["alpha"], dtype=float),
                            np.asarray(block["lambda"], dtype=float),
                            np.asarray(block["v"], dtype=float))
-    if params.lam.size != spec.p or params.v.size != spec.d:
+    if (params.lam.size != spec.p or params.v.size != spec.d
+            or params.alpha.size != spec.d):
         raise ValueError("parameter sizes do not match the dictionary")
     return params, spec

@@ -155,6 +155,45 @@ class TestDiagnose:
         assert main(["diagnose", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("damage", [None, "not-json", "short-lambda",
+                                        "short-alpha", "other-grid"])
+    def test_params_path(self, tmp_path, capsys, damage):
+        import ssvi
+        spec = ssvi.build_dictionary(2, 2.0, 1.0)
+        blob = ssvi.params_to_json(ssvi.identity_params(spec), spec)
+        if damage == "short-lambda":
+            blob["lambda"] = blob["lambda"][:-1]
+        if damage == "short-alpha":
+            blob["alpha"] = blob["alpha"][:1]
+        if damage == "other-grid":  # the same p on another grid
+            blob["dict"].update(R=4.0, delta=2.0)
+        path = tmp_path / "params.json"
+        path.write_text("{" if damage == "not-json" else json.dumps(blob))
+        cfg = write_config(tmp_path, diagnostics={
+            "params_path": str(path), "grid_sizes": [3, 3], "mc_n": 100})
+        code = main(["diagnose", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")])
+        if damage is None:
+            assert code == 0
+        else:
+            assert code == 2
+            assert "diagnostics.params_path: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides, flags, field", [
+    ({"optimizer": {"step_size": -0.5}}, [], "optimizer"),
+    ({"optimizer": {"n_samples": 0}}, [], "optimizer"),
+    ({}, ["--mc-samples", "0"], "optimizer"),
+    ({"target": {"family": "glm_location", "log_partition": "poisson",
+                 "design": [[1.0, 0.0], [0.0, 1.0]], "response": [1.0, 0.0]}},
+     [], "target"),
+], ids=["negative-step", "zero-samples", "zero-mc-flag", "poisson"])
+def test_bad_config_value_exits_2(tmp_path, capsys, overrides, flags, field):
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["fit", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")] + flags) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+
 
 def test_bench_is_not_a_subcommand(tmp_path):
     cfg = write_config(tmp_path)

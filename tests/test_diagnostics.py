@@ -2,8 +2,41 @@ import numpy as np
 import pytest
 
 import ssvi
-from ssvi.diagnostics import DiagnosticsError
+from ssvi.diagnostics import DiagnosticsError, _conditional_sample
 from ssvi.gaussian_oracle import ssvi_gaussian
+
+
+def richardson(f, z, h=1e-4):
+    """Central-difference derivative with one Richardson level."""
+    d1 = (f(z + h) - f(z - h)) / (2.0 * h)
+    d2 = (f(z + h / 2) - f(z - h / 2)) / h
+    return (4.0 * d2 - d1) / 3.0
+
+
+def reference_residuals(params, spec, target, rep, mc_n, seed):
+    """Residuals at ``rep``'s grid points from finite-difference scores of
+    the pushforward log-densities, on the same Monte Carlo draws."""
+    root = []
+    for gi, z1 in enumerate(rep.root_grid):
+        Z, _ = _conditional_sample(params, spec, z1,
+                                   np.random.default_rng([seed, gi]), mc_n)
+        root.append(richardson(
+            lambda z: ssvi.root_marginal_logdensity(params, spec, z), z1)
+            + target.grad(Z)[:, 0].mean())
+    leaves = []
+    for i, pts in enumerate(rep.leaf_grids, start=1):
+        res = []
+        for gi, (z1, zi) in enumerate(pts):
+            Z, _ = _conditional_sample(params, spec, z1,
+                                       np.random.default_rng([seed, i, gi]),
+                                       mc_n, skip=i)
+            Z[:, i] = zi
+            res.append(richardson(
+                lambda z: ssvi.leaf_conditional_logdensity(params, spec, i,
+                                                           z, z1), zi)
+                + target.grad(Z)[:, i].mean())
+        leaves.append(np.array(res))
+    return np.array(root), leaves
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +60,18 @@ class TestSelfConsistency:
         for res, se in zip(rep.leaf_residuals, rep.leaf_std_errors):
             assert np.all(np.abs(res) <= 5 * se)
         assert np.isfinite(rep.worst_normalized)
+
+    def test_scores_match_finite_differences(self, gauss3_target,
+                                             oracle_fit3):
+        spec, params = oracle_fit3
+        rep = ssvi.self_consistency_residual(params, spec, gauss3_target,
+                                             grid_sizes=(7, 5), mc_n=500,
+                                             seed=0)
+        root, leaves = reference_residuals(params, spec, gauss3_target, rep,
+                                           500, 0)
+        assert np.allclose(rep.root_residual, root, rtol=0.0, atol=1e-6)
+        for got, expect in zip(rep.leaf_residuals, leaves, strict=True):
+            assert np.allclose(got, expect, rtol=0.0, atol=1e-6)
 
     def test_identity_map_rejected(self, gauss3_target, oracle_fit3):
         spec, _ = oracle_fit3

@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import norm
 
 import ssvi
-from ssvi.starmap import _map_1d, jacobian, leaf_profile
+from ssvi.starmap import _invert_1d, _map_1d, jacobian, leaf_profile
 
 from conftest import random_admissible_params
 
@@ -115,6 +115,30 @@ class TestDensities:
         back = ssvi.invert_root(rand_params, spec3, z)
         assert np.allclose(back, x, atol=1e-9)
 
+    def test_invert_1d_roundtrip(self, spec3):
+        # knots, both tails, and inside cells 2 and 5, where mu_k = 0
+        mu = np.random.default_rng(3).uniform(0.0, 0.3, spec3.N)
+        mu[[2, 5]] = 0.0
+        a, const = 0.9, 0.3
+        knots = np.append(spec3.breakpoints, spec3.R)
+        x = np.concatenate([knots, [-9.0, -2.5, 2.5, 9.0],
+                            knots[[2, 5]] + 0.3 * spec3.delta])
+        z = _map_1d(spec3, a, mu, const, x)[0]
+        back, slope = _invert_1d(spec3, a, mu, const, z)
+        assert np.allclose(back, x, rtol=0.0, atol=1e-14)
+        assert np.allclose(_map_1d(spec3, a, mu, const, back)[0], z,
+                           rtol=0.0, atol=1e-14)
+        # a knot in [−R, R) takes the slope of the cell on its right
+        assert np.array_equal(slope[:spec3.N], a + mu / spec3.delta)
+
+    def test_invert_1d_slope_matches_map(self, spec3):
+        rng = np.random.default_rng(4)
+        mu = rng.uniform(0.0, 0.3, spec3.N)
+        x = rng.uniform(-3.0, 3.0, 500)
+        z, expect = _map_1d(spec3, 1.1, mu, -0.2, x)
+        assert np.allclose(_invert_1d(spec3, 1.1, mu, -0.2, z)[1], expect,
+                           rtol=1e-15, atol=0.0)
+
     def test_leaf_conditional_normalizes(self, spec3, rand_params):
         # numeric integrals of exp(log q_i(z|z1)) and exp(log p*(z)) over z
         # equal 1 (the root map is non-affine under rand_params)
@@ -190,10 +214,11 @@ class TestSerialization:
             ssvi.params_from_json(block)
 
     def test_size_mismatch_rejected(self, spec3, rand_params):
-        block = ssvi.params_to_json(rand_params, spec3)
-        block["lambda"] = block["lambda"][:-1]
-        with pytest.raises(ValueError, match="sizes"):
-            ssvi.params_from_json(block)
+        for key in ("lambda", "v", "alpha"):
+            block = ssvi.params_to_json(rand_params, spec3)
+            block[key] = block[key][:-1]
+            with pytest.raises(ValueError, match="sizes"):
+                ssvi.params_from_json(block)
 
 
 class TestParamsValidation:
