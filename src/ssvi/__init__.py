@@ -12,8 +12,9 @@ from .dictionary import (ORDERING_VERSION, BasisId, DictionaryDegenerateError,
                          DictionarySpec, GramMatrix, build_dictionary,
                          gram_matrix, ramp)
 from .diagnostics import (BoundCertificate, DiagnosticsError, ResidualReport,
-                          approximation_bound, l2_map_distance,
-                          pushforward_moments, self_consistency_residual)
+                          approximation_bound, check_residual_settings,
+                          l2_map_distance, pushforward_moments,
+                          self_consistency_residual)
 from .gaussian_oracle import (ClosedFormStarMap, GaussianDist,
                               closed_form_star_map, kl_gaussians,
                               mfvi_gaussian, ssvi_gaussian, ssvi_mfvi_gap)

@@ -20,13 +20,14 @@ import numpy as np
 
 from . import __version__
 from .dictionary import ORDERING_VERSION, build_dictionary, gram_matrix
-from .diagnostics import (approximation_bound, pushforward_moments,
+from .diagnostics import (DiagnosticsError, approximation_bound,
+                          check_residual_settings, pushforward_moments,
                           self_consistency_residual)
 from .gaussian_oracle import (GaussianDist, kl_gaussians, mfvi_gaussian,
                               ssvi_gaussian, ssvi_mfvi_gap)
 from .optimizer import OptimizerError, PgdConfig, run_pgd
 from .starmap import params_from_json, params_to_json
-from .targets import target_from_json
+from .targets import GaussianTarget, target_from_json
 
 
 class ConfigError(ValueError):
@@ -37,9 +38,10 @@ _TOP_KEYS = {"target", "dictionary", "optimizer", "diagnostics",
              "output_dir", "seed"}
 
 
-def _load_config(path):
+def _load_config(args):
+    """The config at ``--config``, with ``--seed`` in place of its seed."""
     try:
-        with open(path) as fh:
+        with open(args.config) as fh:
             cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
@@ -50,94 +52,99 @@ def _load_config(path):
     unknown = set(cfg) - _TOP_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    cfg["seed"] = seed = cfg.get("seed", 0) if args.seed is None else args.seed
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"seed: must be a nonnegative integer, got {seed!r}")
+    if not isinstance(cfg.get("output_dir", ""), str):
+        raise ConfigError("output_dir: must be a string")
     return cfg
 
 
-def _build_dictionary(cfg, d):
-    block = cfg.get("dictionary")
+def _section(cfg, name, build, optional=False):
+    """``build(cfg[name])``, any failure reported as ``<name>[.<key>]: …``."""
+    block = cfg.get(name, {} if optional else None)
     if not isinstance(block, dict):
-        raise ConfigError("dictionary: block required")
-    unknown = set(block) - {"R", "delta"}
+        raise ConfigError(f"{name}: a JSON object is required")
+    try:
+        return build(block)
+    except KeyError as exc:
+        raise ConfigError(f"{name}.{exc.args[0]}: missing") from exc
+    except (TypeError, ValueError, OSError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
+def _known(block, keys):
+    unknown = set(block) - keys
     if unknown:
-        raise ConfigError(f"dictionary: unknown keys {sorted(unknown)}")
-    try:
+        raise ValueError(f"unknown keys {sorted(unknown)}")
+
+
+def _target(cfg, gaussian=False):
+    """The target and its regularity constants."""
+    def build(block):
+        target = target_from_json(block)
+        if gaussian and not isinstance(target, GaussianTarget):
+            raise ValueError("family must be gaussian for this command")
+        return target, target.regularity_constants()
+    return _section(cfg, "target", build)
+
+
+def _dictionary(cfg, d):
+    def build(block):
+        _known(block, {"R", "delta"})
         return build_dictionary(d, block["R"], block["delta"])
-    except KeyError as exc:
-        raise ConfigError(f"dictionary.{exc.args[0]}: missing") from exc
-    except ValueError as exc:
-        raise ConfigError(f"dictionary: {exc}") from exc
+    return _section(cfg, "dictionary", build)
 
 
-def _build_target(cfg):
-    block = cfg.get("target")
-    if not isinstance(block, dict):
-        raise ConfigError("target: block required")
-    try:
-        return target_from_json(block)
-    except KeyError as exc:
-        raise ConfigError(f"target.{exc.args[0]}: missing") from exc
-    except ValueError as exc:
-        raise ConfigError(f"target: {exc}") from exc
+def _pgd_config(cfg, **flags):
+    """The optimizer block; seed defaults to the top-level one, flags win."""
+    def build(block):
+        given = {k: v for k, v in flags.items() if v is not None}
+        return PgdConfig.from_dict({"seed": cfg["seed"], **block, **given})
+    return _section(cfg, "optimizer", build, optional=True)
 
 
-def _pgd_config(cfg, args):
-    block = dict(cfg.get("optimizer", {}))
-    if args.seed is not None:
-        block["seed"] = args.seed
-    elif "seed" in cfg and "seed" not in block:
-        block["seed"] = cfg["seed"]
-    if args.mc_samples is not None:
-        block["n_samples"] = args.mc_samples
-    try:
-        return PgdConfig.from_dict(block)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"optimizer: {exc}") from exc
-
-
-def _constants(target):
-    try:
-        return target.regularity_constants()
-    except ValueError as exc:
-        raise ConfigError(f"target: {exc}") from exc
-
-
-def _fit(cfg, args, target, spec):
-    """Run the optimizer block of ``cfg`` on ``target`` over ``spec``."""
-    pgd = _pgd_config(cfg, args)
-    consts = _constants(target)
-    return run_pgd(target, spec, gram_matrix(spec), pgd, consts=consts)
+def _diagnostics(cfg, args):
+    """(grid_sizes, mc_n, params_path); ``--mc-samples`` overrides mc_n."""
+    def build(block):
+        _known(block, {"grid_sizes", "mc_n", "params_path"})
+        grid_sizes = block.get("grid_sizes", 9)
+        mc_n = (args.mc_samples if args.mc_samples is not None
+                else block.get("mc_n", 2000))
+        check_residual_settings(grid_sizes, mc_n)
+        return grid_sizes, mc_n, block.get("params_path")
+    return _section(cfg, "diagnostics", build, optional=True)
 
 
 def _load_params(path, spec):
     try:
-        with open(path) as fh:
+        with open(os.fspath(path)) as fh:
             return params_from_json(json.load(fh), spec)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(
             f"diagnostics.params_path: {type(exc).__name__}: {exc}") from exc
 
 
-def _out_dir(cfg, args):
+def _output(cfg, args, name):
     out = args.out or cfg.get("output_dir") or "."
     os.makedirs(out, exist_ok=True)
-    return out
-
-
-def _stamp(obj):
-    obj["tool_version"] = __version__
-    obj["ordering_version"] = ORDERING_VERSION
-    return obj
+    return os.path.join(out, name)
 
 
 def _write_json(path, obj):
+    obj.update(tool_version=__version__, ordering_version=ORDERING_VERSION)
     with open(path, "w") as fh:
-        json.dump(_stamp(obj), fh, sort_keys=True, indent=2)
+        json.dump(obj, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
-def _csv_header(fh):
-    fh.write(f"# tool_version={__version__},"
-             f"ordering_version={ORDERING_VERSION}\n")
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# tool_version={__version__},"
+                 f"ordering_version={ORDERING_VERSION}\n")
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def _set_threads(n):
@@ -155,27 +162,24 @@ def _set_threads(n):
 # ---------------------------------------------------------------------------
 
 def cmd_fit(cfg, args):
-    target = _build_target(cfg)
-    spec = _build_dictionary(cfg, target.d)
+    target, consts = _target(cfg)
+    spec = _dictionary(cfg, target.d)
+    pgd = _pgd_config(cfg, seed=args.seed, n_samples=args.mc_samples)
     t0 = time.perf_counter()
-    result = _fit(cfg, args, target, spec)
+    result = run_pgd(target, spec, gram_matrix(spec), pgd, consts=consts)
     runtime_ms = 1000.0 * (time.perf_counter() - t0)
-    out = _out_dir(cfg, args)
 
-    _write_json(os.path.join(out, "params.json"),
+    _write_json(_output(cfg, args, "params.json"),
                 params_to_json(result.params, spec))
-    with open(os.path.join(out, "trace.csv"), "w", newline="") as fh:
-        _csv_header(fh)
-        w = csv.writer(fh)
-        w.writerow(["iter", "free_energy", "grad_theta_norm",
-                    "step_halvings"])
-        w.writerow([0, repr(float(result.free_energy_trace[0])), "", ""])
-        for it in range(result.iterations):
-            w.writerow([it + 1,
-                        repr(float(result.free_energy_trace[it + 1])),
-                        repr(float(result.grad_norm_trace[it])),
-                        int(result.halving_trace[it])])
-    _write_json(os.path.join(out, "summary.json"), {
+    fe = result.free_energy_trace
+    _write_csv(_output(cfg, args, "trace.csv"),
+               ["iter", "free_energy", "grad_theta_norm", "step_halvings"],
+               [[0, repr(float(fe[0])), "", ""]]
+               + [[it + 1, repr(float(fe[it + 1])),
+                   repr(float(result.grad_norm_trace[it])),
+                   int(result.halving_trace[it])]
+                  for it in range(result.iterations)])
+    _write_json(_output(cfg, args, "summary.json"), {
         "final_free_energy": float(result.free_energy_trace[-1]),
         "iters": int(result.iterations),
         "runtime_ms": runtime_ms,
@@ -184,13 +188,6 @@ def cmd_fit(cfg, args):
         "step_size": result.step_size,
     })
     return 0
-
-
-def _gaussian_target_or_fail(cfg):
-    target = _build_target(cfg)
-    if not (hasattr(target, "cov") and hasattr(target, "precision")):
-        raise ConfigError("target.family: must be gaussian for this command")
-    return target
 
 
 def _gaussian_oracle(target):
@@ -208,20 +205,23 @@ def _gaussian_oracle(target):
 
 
 def cmd_oracle_gaussian(cfg, args):
-    oracle = _gaussian_oracle(_gaussian_target_or_fail(cfg))
-    out = _out_dir(cfg, args)
-    _write_json(os.path.join(out, "oracle.json"), oracle)
+    oracle = _gaussian_oracle(_target(cfg, gaussian=True)[0])
+    _write_json(_output(cfg, args, "oracle.json"), oracle)
     return 0
 
 
 def cmd_compare(cfg, args):
-    target = _gaussian_target_or_fail(cfg)
+    target, consts = _target(cfg, gaussian=True)
+    pgd = None
+    if "optimizer" in cfg:
+        spec = _dictionary(cfg, target.d)
+        pgd = _pgd_config(cfg, seed=args.seed, n_samples=args.mc_samples)
     oracle = _gaussian_oracle(target)
     kl_s, kl_m, gap = oracle["kl_ssvi"], oracle["kl_mfvi"], oracle["gap"]
 
     fit_gap = None
-    if "optimizer" in cfg:
-        result = _fit(cfg, args, target, _build_dictionary(cfg, target.d))
+    if pgd is not None:
+        result = run_pgd(target, spec, gram_matrix(spec), pgd, consts=consts)
         # KL of the fitted pushforward from a Gaussian target:
         # F̂ − d/2 + ½ log det Σ (the free energy misses only the target's
         # normalizing constant and the base entropy).
@@ -230,8 +230,7 @@ def cmd_compare(cfg, args):
                   + 0.5 * logdet)
         fit_gap = float(kl_fit - kl_s)
 
-    out = _out_dir(cfg, args)
-    _write_json(os.path.join(out, "compare.json"), {
+    _write_json(_output(cfg, args, "compare.json"), {
         "kl_ssvi_fit_free_energy_gap": fit_gap,
         "kl_ssvi_exact": kl_s,
         "kl_mfvi_exact": kl_m,
@@ -242,41 +241,28 @@ def cmd_compare(cfg, args):
 
 
 def cmd_diagnose(cfg, args):
-    target = _build_target(cfg)
-    spec = _build_dictionary(cfg, target.d)
-    dblock = dict(cfg.get("diagnostics", {}))
-    unknown = set(dblock) - {"grid_sizes", "mc_n", "params_path"}
-    if unknown:
-        raise ConfigError(f"diagnostics: unknown keys {sorted(unknown)}")
-    grid_sizes = dblock.get("grid_sizes", 9)
-    mc_n = (args.mc_samples if args.mc_samples is not None
-            else dblock.get("mc_n", 2000))
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    consts = _constants(target)
+    target, consts = _target(cfg)
+    spec = _dictionary(cfg, target.d)
+    grid_sizes, mc_n, params_path = _diagnostics(cfg, args)
+    seed = cfg["seed"]
+    if params_path is not None:
+        params, spec = _load_params(params_path, spec)
+    else:  # --mc-samples sets mc_n only; the fit keeps the optimizer's
+        pgd = _pgd_config(cfg, seed=args.seed)
+        params = run_pgd(target, spec, gram_matrix(spec), pgd,
+                         consts=consts).params
 
-    if "params_path" in dblock:
-        params, spec = _load_params(dblock["params_path"], spec)
-    else:
-        params = _fit(cfg, args, target, spec).params
-
-    try:
-        report = self_consistency_residual(params, spec, target,
-                                           grid_sizes, mc_n, seed)
-    except ValueError as exc:
-        raise ConfigError(f"diagnostics: {exc}") from exc
+    report = self_consistency_residual(params, spec, target,
+                                       grid_sizes, mc_n, seed)
     cert = approximation_bound(target, consts, mc_n=mc_n, seed=seed,
                                params=params, spec=spec)
     mean, cov, mean_se, _ = pushforward_moments(params, spec, mc_n, seed)
 
-    out = _out_dir(cfg, args)
-    with open(os.path.join(out, "residuals.csv"), "w", newline="") as fh:
-        _csv_header(fh)
-        w = csv.writer(fh)
-        w.writerow(["equation", "coordinate", "z1", "zi", "residual",
-                    "std_error"])
-        for row in report.to_rows():
-            w.writerow([row[0], row[1]] + [repr(float(v)) for v in row[2:]])
-    _write_json(os.path.join(out, "diagnose.json"), {
+    _write_csv(_output(cfg, args, "residuals.csv"),
+               ["equation", "coordinate", "z1", "zi", "residual", "std_error"],
+               [[row[0], row[1]] + [repr(float(v)) for v in row[2:]]
+                for row in report.to_rows()])
+    _write_json(_output(cfg, args, "diagnose.json"), {
         "worst_normalized_residual": report.worst_normalized,
         "bound_rhs": cert.rhs,
         "bound_rhs_std_error": cert.std_error,
@@ -324,12 +310,12 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     _set_threads(args.threads)
     try:
-        cfg = _load_config(args.config)
+        cfg = _load_config(args)
         return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (OptimizerError, RuntimeError, OSError) as exc:
+    except (OptimizerError, DiagnosticsError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

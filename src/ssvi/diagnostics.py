@@ -15,6 +15,7 @@ Three families of checks:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -96,23 +97,30 @@ def _conditional_sample(params, spec, z1, rng, mc_n, skip=None):
     return Z, x1
 
 
-def _grid_sizes(grid_sizes):
-    if np.isscalar(grid_sizes):
-        return int(grid_sizes), int(grid_sizes)
-    n_root, n_leaf = grid_sizes
-    return int(n_root), int(n_leaf)
+def check_residual_settings(grid_sizes, mc_n):
+    """(n_root, n_leaf) from one positive integer or a pair; mc_n ≥ 100."""
+    if not isinstance(mc_n, Integral) or mc_n < 100:
+        raise DiagnosticsError(f"mc_n must be an integer ≥ 100, got {mc_n!r}")
+    sizes = [grid_sizes] * 2 if np.isscalar(grid_sizes) else list(grid_sizes)
+    if len(sizes) != 2 or not all(isinstance(n, Integral) and n >= 1
+                                  for n in sizes):
+        raise DiagnosticsError("grid_sizes must be a positive integer or a "
+                               f"pair of them, got {grid_sizes!r}")
+    return sizes
 
 
 def pushforward_moments(params, spec, mc_n, seed):
     """MC mean/covariance of the pushforward, with entrywise std errors."""
     X = np.random.default_rng(seed).standard_normal((int(mc_n), spec.d))
     Z = forward(params, spec, X).Z
+    n = len(Z)
     mean = Z.mean(axis=0)
     cov = np.cov(Z, rowvar=False, ddof=1)
     mean_se = Z.std(axis=0, ddof=1) / np.sqrt(mc_n)
-    centered = Z - mean
-    prods = centered[:, :, None] * centered[:, None, :]
-    cov_se = prods.std(axis=0, ddof=1) / np.sqrt(mc_n)
+    c = Z - mean
+    # std of each product c_j c_k as Σ(c_j c_k)² − n·mean², no (n, d, d) array
+    ss = (c * c).T @ (c * c) - n * (c.T @ c / n) ** 2
+    cov_se = np.sqrt(np.maximum(ss, 0.0) / (n - 1)) / np.sqrt(mc_n)
     return mean, cov, mean_se, cov_se
 
 
@@ -130,9 +138,7 @@ def self_consistency_residual(params, spec, target, grid_sizes=9, mc_n=2000,
     transported at the conditioned root value.  Each grid point draws from
     its own RNG stream derived from (seed, index).
     """
-    if mc_n < 100:
-        raise DiagnosticsError("mc_n must be at least 100")
-    n_root, n_leaf = _grid_sizes(grid_sizes)
+    n_root, n_leaf = check_residual_settings(grid_sizes, mc_n)
 
     mean, cov, _, _ = pushforward_moments(params, spec, max(mc_n, 2000), seed)
     std = np.sqrt(np.diag(cov))

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -45,10 +46,19 @@ class PgdConfig:
     n_samples: int = 20000
 
     def __post_init__(self):
+        for name, kind in [("step_size", (Real, type(None))), ("tol", Real),
+                           ("max_iters", Integral), ("seed", Integral),
+                           ("n_samples", Integral)]:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                noun = "an integer" if kind is Integral else "a real number"
+                raise TypeError(f"{name} must be {noun}, got {value!r}")
         if self.step_size is not None and not self.step_size > 0:
             raise ValueError("step_size must be positive")
         if not self.n_samples >= 1:
             raise ValueError("n_samples must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
     @classmethod
     def from_dict(cls, block):

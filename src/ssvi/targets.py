@@ -17,7 +17,6 @@ Families:
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from typing import Callable
 
@@ -286,6 +285,8 @@ class _GlmTarget(TargetPotential):
         if dispersion <= 0:
             raise ValueError("dispersion must be positive")
         if isinstance(family, str):
+            if family not in LOG_PARTITIONS:
+                raise ValueError(f"unknown log_partition: {family}")
             family = LOG_PARTITIONS[family]
         self.X = X
         self.y = y
@@ -577,52 +578,48 @@ def load_design_csv(path, header=False):
     return np.array([[float(v) for v in row] for row in rows])
 
 
+_PRIORS = {"gaussian": GaussianPrior, "logistic": LogisticPrior}
+_GLM_KEYS = {"family", "design", "design_csv", "design_csv_header",
+             "response", "log_partition", "dispersion", "psi_lower"}
+# the keys each target family reads
+_TARGET_KEYS = {
+    "gaussian": {"family", "mean", "cov"},
+    "glm_location": _GLM_KEYS | {"prior", "hyperprior"},
+    "spike_slab": _GLM_KEYS | {"eta", "tau0", "tau1", "debias_precision"},
+}
+
+
 def _make_prior(block):
-    kind = block.get("type", "gaussian")
-    if kind == "gaussian":
-        return GaussianPrior(block["precision"])
-    if kind == "logistic":
-        return LogisticPrior(block["scale"])
-    raise ValueError(f"unknown prior type: {kind}")
-
-
-def _load_design(block):
-    if "design" in block:
-        return np.asarray(block["design"], dtype=float)
-    if "design_csv" in block:
-        return load_design_csv(block["design_csv"],
-                               header=block.get("design_csv_header", False))
-    raise ValueError("target block needs 'design' or 'design_csv'")
+    """A prior from its block: a type and that type's one parameter."""
+    kwargs = dict(block)
+    kind = kwargs.pop("type", "gaussian")
+    if kind not in _PRIORS:
+        raise ValueError(f"unknown prior type: {kind}")
+    return _PRIORS[kind](**kwargs)
 
 
 def target_from_json(block):
-    """Build a target from its JSON description (dict or JSON string/path)."""
-    if isinstance(block, str):
-        block = json.loads(block)
+    """A target from its JSON block; keys the family does not read raise."""
     family = block.get("family")
+    if family not in _TARGET_KEYS:
+        raise ValueError(f"unknown target family: {family}")
+    unknown = set(block) - _TARGET_KEYS[family]
+    if unknown:
+        raise ValueError(f"unknown target keys: {sorted(unknown)}")
     if family == "gaussian":
         return GaussianTarget(block["mean"], block["cov"])
+    X = (np.asarray(block["design"], dtype=float) if "design" in block
+         else load_design_csv(block["design_csv"],
+                              header=block.get("design_csv_header", False)))
+    glm = dict(family=block.get("log_partition", "linear"),
+               dispersion=block.get("dispersion", 1.0),
+               psi_lower=block.get("psi_lower"))
+    y = np.asarray(block["response"], dtype=float)
     if family == "glm_location":
-        X = _load_design(block)
+        gaussian = {"type": "gaussian", "precision": 1.0}
         return GlmLocationTarget(
-            X, np.asarray(block["response"], dtype=float),
-            family=block.get("log_partition", "linear"),
-            dispersion=block.get("dispersion", 1.0),
-            prior=_make_prior(block.get("prior", {"type": "gaussian",
-                                                  "precision": 1.0})),
-            hyperprior=_make_prior(block.get("hyperprior",
-                                             {"type": "gaussian",
-                                              "precision": 1.0})),
-            psi_lower=block.get("psi_lower"),
-        )
-    if family == "spike_slab":
-        X = _load_design(block)
-        return SpikeSlabGlmTarget(
-            X, np.asarray(block["response"], dtype=float),
-            family=block.get("log_partition", "linear"),
-            dispersion=block.get("dispersion", 1.0),
-            eta=block["eta"], tau0=block["tau0"], tau1=block["tau1"],
-            debias_precision=block.get("debias_precision", 1.0),
-            psi_lower=block.get("psi_lower"),
-        )
-    raise ValueError(f"unknown target family: {family}")
+            X, y, prior=_make_prior(block.get("prior", gaussian)),
+            hyperprior=_make_prior(block.get("hyperprior", gaussian)), **glm)
+    return SpikeSlabGlmTarget(
+        X, y, eta=block["eta"], tau0=block["tau0"], tau1=block["tau1"],
+        debias_precision=block.get("debias_precision", 1.0), **glm)

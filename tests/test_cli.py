@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -221,3 +224,102 @@ def test_target_built_once(tmp_path, monkeypatch, command):
     assert main([command, "--config", str(cfg),
                  "--out", str(tmp_path / "o")]) == 0
     assert len(calls) == 1
+
+
+SPIKE_SLAB = {"family": "spike_slab", "design": [[1.0, 0.0], [0.0, 1.0],
+                                                 [1.0, 1.0]],
+              "response": [1.0, 0.0, 0.5], "eta": 0.5, "tau0": 2.0,
+              "tau1": 1.0}
+BOTH = ("fit", "diagnose")
+
+
+# Each row is malformed in one section.  The diagnostics rows are read by
+# `diagnose` only: `fit` ignores that block.
+@pytest.mark.parametrize("overrides, section, commands", [
+    ({"optimizer": 5}, "optimizer", BOTH),
+    ({"diagnostics": [1]}, "diagnostics", ("diagnose",)),
+    ({"diagnostics": {"mc_n": "abc"}}, "diagnostics", ("diagnose",)),
+    ({"diagnostics": {"mc_n": 50}}, "diagnostics", ("diagnose",)),
+    ({"diagnostics": {"grid_sizes": 0}}, "diagnostics", ("diagnose",)),
+    ({"seed": "x"}, "seed", BOTH),
+    ({"dictionary": {"R": "a", "delta": 1.0}}, "dictionary", BOTH),
+    ({"optimizer": {"step_size": 0.5, "max_iters": 2.5}}, "optimizer", BOTH),
+    ({"optimizer": {"step_size": 0.5, "tol": "x"}}, "optimizer", BOTH),
+    ({"target": dict(SPIKE_SLAB, eta="x")}, "target", BOTH),
+    ({"output_dir": 5}, "output_dir", BOTH),
+    (lambda tmp: {"target": {"family": "glm_location",
+                             "design_csv": str(tmp / "missing.csv"),
+                             "response": [1.0, 0.0]}}, "target", BOTH),
+    ({"target": dict(SPIKE_SLAB, debias_precison=5.0)}, "target", BOTH),
+], ids=["optimizer-not-object", "diagnostics-not-object", "mc-n-string",
+        "mc-n-small", "grid-sizes-zero", "seed-string", "dictionary-R-string",
+        "max-iters-float", "tol-string", "eta-string", "output-dir-number",
+        "missing-design-csv", "target-key-typo"])
+def test_malformed_config_exits_2_before_any_work(
+        tmp_path, monkeypatch, capsys, overrides, section, commands):
+    import ssvi.cli
+    calls = []
+
+    def spy(real):
+        def wrapped(*a, **kw):
+            calls.append(real.__name__)
+            return real(*a, **kw)
+        return wrapped
+
+    for name in ("gram_matrix", "run_pgd"):
+        monkeypatch.setattr(ssvi.cli, name, spy(getattr(ssvi.cli, name)))
+    monkeypatch.chdir(tmp_path)  # the default output directory
+    if callable(overrides):
+        overrides = overrides(tmp_path)
+    cfg = write_config(tmp_path, **overrides)
+    for command in commands:
+        assert main([command, "--config", str(cfg)]) == 2, command
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {section}"), err
+        assert calls == []
+
+
+def test_diagnose_mc_samples_sets_only_mc_n(tmp_path, monkeypatch):
+    import ssvi.cli
+    seen = {}
+    real_fit = ssvi.cli.run_pgd
+    real_residual = ssvi.cli.self_consistency_residual
+
+    def fit(target, spec, gram, config, **kw):
+        seen["n_samples"] = config.n_samples
+        return real_fit(target, spec, gram, config, **kw)
+
+    def residual(params, spec, target, grid_sizes, mc_n, seed):
+        seen["mc_n"] = mc_n
+        return real_residual(params, spec, target, grid_sizes, mc_n, seed)
+
+    monkeypatch.setattr(ssvi.cli, "run_pgd", fit)
+    monkeypatch.setattr(ssvi.cli, "self_consistency_residual", residual)
+    cfg = write_config(tmp_path,
+                       optimizer={"step_size": 0.5, "max_iters": 2,
+                                  "n_samples": 500},
+                       diagnostics={"grid_sizes": [3, 3], "mc_n": 300})
+    out = str(tmp_path / "o")
+    assert main(["diagnose", "--config", str(cfg), "--out", out,
+                 "--mc-samples", "100"]) == 0
+    assert seen == {"n_samples": 500, "mc_n": 100}
+    # fit keeps reading the flag as its sample size
+    assert main(["fit", "--config", str(cfg), "--out", out,
+                 "--mc-samples", "100"]) == 0
+    assert seen["n_samples"] == 100
+
+
+def test_module_entry_point_exits_2_with_one_line(tmp_path):
+    import ssvi
+    cfg = write_config(tmp_path, optimizer={"max_iters": 2.5})
+    src = os.path.dirname(os.path.dirname(ssvi.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ssvi.cli", "fit", "--config", str(cfg),
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: optimizer: max_iters")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr

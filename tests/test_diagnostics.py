@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import ssvi
-from ssvi.diagnostics import DiagnosticsError, _conditional_sample
+from ssvi.diagnostics import (DiagnosticsError, _conditional_sample,
+                              check_residual_settings)
 from ssvi.gaussian_oracle import ssvi_gaussian
 
 
@@ -98,6 +99,18 @@ class TestSelfConsistency:
         with pytest.raises(DiagnosticsError, match="mc_n"):
             ssvi.self_consistency_residual(params, spec, gauss3_target,
                                            mc_n=50)
+
+    @pytest.mark.parametrize("grid_sizes, mc_n", [
+        (0, 100), ([3, 0], 100), ([3], 100), ([3, 3, 3], 100), (2.5, 100),
+        ("abc", 100), (None, 100), (3, 50), (3, 100.5), (3, "abc")])
+    def test_settings_rejected(self, grid_sizes, mc_n):
+        with pytest.raises((DiagnosticsError, TypeError)):
+            check_residual_settings(grid_sizes, mc_n)
+
+    def test_settings_accepted(self):
+        assert check_residual_settings(9, 100) == [9, 9]
+        assert check_residual_settings((5, np.int64(3)), np.int64(2000)) \
+            == [5, 3]
 
     def test_report_rows(self, gauss3_target, oracle_fit3):
         spec, params = oracle_fit3
@@ -198,3 +211,21 @@ class TestPushforwardMoments:
         b = ssvi.pushforward_moments(params, spec, 2000, 7)
         assert np.array_equal(a[0], b[0])
         assert np.array_equal(a[1], b[1])
+
+    @pytest.mark.parametrize("d, mc_n", [(2, 50000), (3, 20000), (10, 5000)])
+    def test_cov_std_error_matches_product_array(self, d, mc_n):
+        # Oracle: the std of the (mc_n, d, d) array of centred products.
+        rng = np.random.default_rng(d)
+        spec = ssvi.build_dictionary(d, 2.0, 1.0)
+        lam = rng.uniform(0.0, 0.3, spec.p)
+        free = ~spec.constrained
+        lam[free] = rng.normal(0.0, 0.1, free.sum())
+        params = ssvi.StarMapParams(rng.uniform(0.8, 1.2, d), lam,
+                                    rng.normal(0.0, 0.3, d))
+        X = np.random.default_rng(3).standard_normal((mc_n, d))
+        c = ssvi.forward(params, spec, X).Z
+        c = c - c.mean(axis=0)
+        prods = c[:, :, None] * c[:, None, :]
+        expected = prods.std(axis=0, ddof=1) / np.sqrt(mc_n)
+        cov_se = ssvi.pushforward_moments(params, spec, mc_n, 3)[3]
+        np.testing.assert_allclose(cov_se, expected, rtol=1e-12)

@@ -214,6 +214,24 @@ class TestPgdConfig:
         cfg = PgdConfig.from_dict({"step_size": 0.2, "max_iters": 10})
         assert cfg.step_size == 0.2
 
+    @pytest.mark.parametrize("field, value", [
+        ("max_iters", 2.5), ("max_iters", "10"), ("seed", 1.0),
+        ("seed", None), ("n_samples", 500.5), ("n_samples", True),
+        ("step_size", "0.5"), ("tol", "x"), ("tol", None)])
+    def test_rejects_wrong_types(self, field, value):
+        with pytest.raises(TypeError, match=field):
+            PgdConfig(**{field: value})
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed"):
+            PgdConfig(seed=-1)
+
+    def test_accepts_numpy_scalars(self):
+        cfg = PgdConfig(step_size=np.float64(0.5), max_iters=np.int64(3),
+                        tol=np.float32(1e-6), seed=np.uint64(7),
+                        n_samples=np.int32(100))
+        assert cfg.n_samples == 100 and PgdConfig().step_size is None
+
 
 @pytest.fixture(scope="module")
 def fit(gauss2_target):

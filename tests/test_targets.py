@@ -289,6 +289,68 @@ class TestHelpers:
         X = ssvi.load_design_csv(p)
         assert np.array_equal(X, [[1.0, 2.0], [3.0, 4.0]])
 
+    @pytest.mark.parametrize("header", [False, True])
+    @pytest.mark.parametrize("family", ["glm_location", "spike_slab"])
+    def test_target_from_json_design_csv(self, tmp_path, family, header):
+        X = np.array([[1.0, 0.5], [-0.3, 2.0], [0.7, -1.1]])
+        p = tmp_path / "design.csv"
+        p.write_text(("x1,x2\n" if header else "")
+                     + "".join(f"{a!r},{b!r}\n" for a, b in X.tolist()))
+        block = {"family": family, "response": [1.0, -0.5, 0.25]}
+        if family == "spike_slab":
+            block.update(eta=0.5, tau0=2.0, tau1=1.0)
+        inline = ssvi.target_from_json(dict(block, design=X.tolist()))
+        block["design_csv"] = str(p)
+        if header:
+            block["design_csv_header"] = True
+        t = ssvi.target_from_json(block)
+        assert np.array_equal(t.X, X)
+        z = np.random.default_rng(0).normal(size=(4, t.d))
+        assert np.array_equal(t.potential(z), inline.potential(z))
+
+    def test_target_from_json_missing_design_csv(self, tmp_path):
+        with pytest.raises(OSError):
+            ssvi.target_from_json({
+                "family": "glm_location", "response": [1.0],
+                "design_csv": str(tmp_path / "missing.csv")})
+
+    @pytest.mark.parametrize("block", [
+        {"family": "gaussian", "mean": [0.0], "cov": [[1.0]], "eta": 0.5},
+        {"family": "glm_location", "design": [[1.0]], "response": [1.0],
+         "eta": 0.5},
+        {"family": "spike_slab", "design": [[1.0, 0.0], [0.0, 1.0]],
+         "response": [1.0, 0.0], "eta": 0.5, "tau0": 2.0, "tau1": 1.0,
+         "debias_precison": 5.0},
+    ], ids=["gaussian", "glm_location", "spike_slab"])
+    def test_target_from_json_rejects_unread_keys(self, block):
+        with pytest.raises(ValueError, match="unknown target keys"):
+            ssvi.target_from_json(block)
+
+    def test_target_from_json_unknown_log_partition(self):
+        with pytest.raises(ValueError, match="unknown log_partition: poison"):
+            ssvi.target_from_json({"family": "glm_location",
+                                   "design": [[1.0]], "response": [1.0],
+                                   "log_partition": "poison"})
+
+    @pytest.mark.parametrize("prior", [
+        {"type": "gaussian", "precison": 2.0},
+        {"type": "gaussian", "scale": 2.0},
+        {"type": "logistic", "scale": 2.0, "precision": 1.0},
+    ])
+    def test_prior_block_rejects_unknown_keys(self, prior):
+        with pytest.raises(TypeError):
+            ssvi.target_from_json({"family": "glm_location",
+                                   "design": [[1.0]], "response": [1.0],
+                                   "prior": prior})
+
+    def test_prior_blocks(self):
+        t = ssvi.target_from_json({
+            "family": "glm_location", "design": [[1.0]], "response": [1.0],
+            "prior": {"type": "logistic", "scale": 2.0},
+            "hyperprior": {"precision": 3.0}})
+        assert isinstance(t.prior, ssvi.LogisticPrior)
+        assert t.prior.scale == 2.0 and t.hyperprior.tau2 == 3.0
+
 
 def _random_glm(kind, family, seed):
     rng = np.random.default_rng(seed)
