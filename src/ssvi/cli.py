@@ -19,7 +19,8 @@ import time
 import numpy as np
 
 from . import __version__
-from .dictionary import ORDERING_VERSION, build_dictionary, gram_matrix
+from .dictionary import (ORDERING_VERSION, FieldTypeError, build_dictionary,
+                         gram_matrix)
 from .diagnostics import (DiagnosticsError, approximation_bound,
                           check_residual_settings, pushforward_moments,
                           self_consistency_residual)
@@ -61,7 +62,8 @@ def _load_config(args):
 
 
 def _section(cfg, name, build, optional=False):
-    """``build(cfg[name])``, any failure reported as ``<name>[.<key>]: …``."""
+    """``build(cfg[name])``, any failure reported as ``<name>[.<key>]: …``
+    (with the key when the error names one)."""
     block = cfg.get(name, {} if optional else None)
     if not isinstance(block, dict):
         raise ConfigError(f"{name}: a JSON object is required")
@@ -69,6 +71,8 @@ def _section(cfg, name, build, optional=False):
         return build(block)
     except KeyError as exc:
         raise ConfigError(f"{name}.{exc.args[0]}: missing") from exc
+    except FieldTypeError as exc:
+        raise ConfigError(f"{name}.{exc}") from exc
     except (TypeError, ValueError, OSError) as exc:
         raise ConfigError(f"{name}: {exc}") from exc
 

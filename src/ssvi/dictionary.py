@@ -23,7 +23,9 @@ is also the order of its (identical) Gram block.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -67,6 +69,30 @@ def cell_down_mean(b, delta):
 
 
 # ---------------------------------------------------------------------------
+# Checked numbers (shared with the target constructors)
+# ---------------------------------------------------------------------------
+
+class FieldTypeError(TypeError):
+    """A value of the wrong type; ``field`` is the name it was given as."""
+
+    def __init__(self, field, detail):
+        super().__init__(f"{field}: {detail}")
+        self.field = field
+        self.detail = detail
+
+
+def check_number(field, value, kind=Real, optional=False):
+    """Raise :class:`FieldTypeError` unless ``value`` is a ``kind`` number
+    (never a bool), or None when ``optional``; checked before any
+    comparison, so a string never reaches ``<=``."""
+    if optional and value is None:
+        return
+    if isinstance(value, bool) or not isinstance(value, kind):
+        noun = "an integer" if kind is Integral else "a real number"
+        raise FieldTypeError(field, f"must be {noun}, got {value!r}")
+
+
+# ---------------------------------------------------------------------------
 # Dictionary spec
 # ---------------------------------------------------------------------------
 
@@ -89,10 +115,13 @@ class DictionarySpec:
     """Enumerated basis family on the (d, R, δ) grid."""
 
     def __init__(self, d, R, delta):
+        check_number("d", d, Integral)
+        check_number("R", R)
+        check_number("delta", delta)
         if d < 2:
             raise ValueError("dictionary requires d >= 2")
-        if delta <= 0 or R <= 0:
-            raise ValueError("R and delta must be positive")
+        if not (0 < delta < math.inf and 0 < R < math.inf):
+            raise ValueError("R and delta must be positive and finite")
         ratio = R / delta
         if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
             raise ValueError("R must be an integer multiple of delta")

@@ -6,10 +6,14 @@ to an additive constant:
     F(λ, v) = E_ρ[V(T(x))] − E_ρ[log det DT(x)].
 
 Evaluations run on a frozen standard-normal sample so the optimization is a
-deterministic convex program.  The free-energy reduction uses math.fsum
-(correctly rounded), which makes F̂ bit-equal under any permutation of the
-sample; gradient reductions run in a fixed order (numpy's pairwise sums and
-in-order bincounts).
+deterministic convex program.  The sample's grid cells are bucketed once per
+dictionary grid (:meth:`SaaSample.grid`), so an evaluation pays only for λ.
+The free-energy reduction is exact: error-free extraction splits the terms
+into parts whose sums numpy computes without rounding, and math.fsum rounds
+their total once.  It gives the bits of math.fsum over the terms (correctly
+rounded), which makes F̂ bit-equal under any permutation of the sample;
+gradient reductions run in a fixed order (numpy's pairwise sums and in-order
+bincounts).
 """
 
 from __future__ import annotations
@@ -20,7 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .starmap import ConeViolationError, _ForwardState, _leaf_rows, forward
+from .starmap import (ConeViolationError, SampleGrid, _ForwardState, forward,
+                      sample_grid)
 
 CHUNK = 1024  # documented reduction chunk size for per-sample partials
 
@@ -37,6 +42,11 @@ class SaaSample:
     n: int
     d: int
     X: np.ndarray
+    # sample_grid on the last (R, δ) asked for.  It is held by the instance
+    # and never looked up by (seed, n, d): two samples can share those and
+    # differ in X.
+    _grids: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     @classmethod
     def build(cls, seed, n, d):
@@ -44,6 +54,15 @@ class SaaSample:
             raise ValueError("sample size must be positive")
         X = np.random.default_rng(seed).standard_normal((int(n), int(d)))
         return cls(int(seed), int(n), int(d), X)
+
+    def grid(self, spec) -> SampleGrid:
+        """:func:`~ssvi.starmap.sample_grid` of X on ``spec``'s grid, built
+        on first use and kept until another grid is asked for."""
+        key = (spec.R, spec.delta)
+        if key not in self._grids:
+            self._grids.clear()
+            self._grids[key] = sample_grid(spec, self.X)
+        return self._grids[key]
 
 
 @dataclass(frozen=True)
@@ -60,7 +79,7 @@ class FreeEnergyReport:
 
 
 def _transported(params, spec, target, sample):
-    st = forward(params, spec, sample.X)
+    st = forward(params, spec, sample.X, grid=sample.grid(spec))
     if np.any(st.diag <= 0):
         raise ConeViolationError(
             "cone violation: nonpositive Jacobian diagonal")
@@ -73,11 +92,33 @@ def _transported(params, spec, target, sample):
 
 
 def _fsum(a):
-    """math.fsum of a 1-D array, fed as Python floats one CHUNK at a time
-    (iterating the array itself would box every entry as a numpy scalar;
-    one whole-array ``tolist`` would hold n floats at once)."""
-    return math.fsum(itertools.chain.from_iterable(
-        a[s:s + CHUNK].tolist() for s in range(0, a.size, CHUNK)))
+    """math.fsum of a 1-D array, with the same bits, by error-free extraction
+    (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31(1), 2008).
+
+    With 2^e > max|r|, 2^M > 2n and σ = 2^(e+M), q = (σ + r) − σ and r − q
+    are exact, |q| ≤ 2^e and q is a multiple of u = 2^(e+M−53).  Every
+    partial sum of the q is then a multiple of u below σ = 2^53·u, so
+    ``q.sum()`` is exact in any order.  Taking q off r leaves max|r| ≤ u,
+    and r reaches zero after a few passes; the exact total of their
+    partials is the exact sum of the terms, and math.fsum rounds it once.
+    Nonfinite or all-zero terms, and terms near the overflow threshold, take
+    the plain path: math.fsum fed one CHUNK at a time (iterating the array
+    itself would box every entry as a numpy scalar).
+    """
+    top = float(np.abs(a).max(initial=0.0))
+    if not 0.0 < top < 2.0 ** 960:
+        return math.fsum(itertools.chain.from_iterable(
+            a[s:s + CHUNK].tolist() for s in range(0, a.size, CHUNK)))
+    m = a.size.bit_length() + 1
+    r = a.astype(float)
+    partials = []
+    while top > 0.0:
+        sigma = math.ldexp(1.0, math.frexp(top)[1] + m)
+        q = (sigma + r) - sigma
+        partials.append(float(q.sum()))
+        r -= q
+        top = float(np.abs(r).max())
+    return math.fsum(partials)
 
 
 def free_energy(params, spec, target, sample) -> FreeEnergyReport:
@@ -132,6 +173,7 @@ def gradient(params, spec, target, sample, state=None):
     """
     st = state if state is not None else \
         _transported(params, spec, target, sample)[0]
+    g = st.grid
     n = sample.n
     N, d = spec.N, spec.d
     inv_delta = 1.0 / spec.delta
@@ -140,27 +182,25 @@ def gradient(params, spec, target, sample, state=None):
     grad_v = mean_gV
 
     glam = np.empty(spec.p)
-    sel = st.inbox1
-    glam[:N] = (_ramp_sums(st.k1, st.f1, gV[:, 0], (N,))
-                - np.bincount(st.k1[sel], weights=inv_delta / st.diag[sel, 0],
+    sel = g.inbox1
+    glam[:N] = (_ramp_sums(g.k1, g.f1, gV[:, 0], (N,))
+                - np.bincount(g.k1[sel], weights=inv_delta / st.diag[sel, 0],
                               minlength=N)) / n
 
     shape = (2 * N + 2, N)
-    rows = _leaf_rows(spec, st.X[:, 0])  # not kept in a state: peak memory
     for li in range(d - 1):
         i = li + 1
         gvi = gV[:, i]
-        ki, fi = st.ki[li], st.fi[li]
+        fi, ia = g.fi[li], g.ia[li]
         # entropy trace: only the active (row, leaf ramp) cell contributes
-        wt = st.inboxi[li] * inv_delta / st.diag[:, i]
+        wt = g.inboxi[li] * inv_delta / st.diag[:, i]
         pot = tr = 0.0
-        for r, w in rows:
-            cell = r * N + ki
+        for cell, w in ((ia, g.w_a), (ia + g.step, g.w_b)):
             pot = pot + _ramp_sums(cell, fi, w * gvi, shape).ravel()
             tr = tr + np.bincount(cell, weights=w * wt, minlength=pot.size)
         # M5: pure root column, zero entropy contribution
         glam[spec.leaf_index[li]] = np.concatenate(
-            [pot - tr, _ramp_sums(st.k1, st.f1, gvi, (N,))]) / n
+            [pot - tr, _ramp_sums(g.k1, g.f1, gvi, (N,))]) / n
 
     glam -= spec.centering * mean_gV[spec.coord]
     return glam, grad_v

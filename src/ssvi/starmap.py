@@ -12,7 +12,9 @@ ramp map in x_i whose coefficients blend two rows of that table: f₁·M1[k₁]
 + (1−f₁)·M2[k₁] in the box, the M3 row at x₁ ≥ R and the M4 row below −R.
 
 Coefficients over breakpoints are accumulated through prefix sums, so one map
-evaluation costs O(d) per sample after cell bucketing.
+evaluation costs O(d) per sample.  The cell bucketing it reads depends on the
+sample and the grid alone: :func:`sample_grid` does it once per (sample,
+grid), and a fit on a frozen sample reuses it at every evaluation.
 """
 
 from __future__ import annotations
@@ -77,6 +79,26 @@ class JacobianSketch:
         return J
 
 
+@dataclass(frozen=True)
+class SampleGrid:
+    """What :func:`forward` and the objective gradient read from X alone.
+
+    Each leaf blends the two table rows r_a and r_b of ``_leaf_rows``; its
+    entries at x_i sit at the flat table indices ia = r_a·N + k_i and
+    ib = ia + ``step`` with step = (r_b − r_a)·N.
+    """
+
+    k1: np.ndarray       # (n,) root cell
+    f1: np.ndarray       # (n,) position of x₁ in it
+    inbox1: np.ndarray   # (n,) x₁ in [−R, R)
+    w_a: np.ndarray      # (n,) weights of the two blended rows
+    w_b: np.ndarray
+    fi: np.ndarray       # (d-1, n) leaf positions
+    inboxi: np.ndarray   # (d-1, n)
+    ia: np.ndarray       # (d-1, n) flat index r_a·N + k_i
+    step: np.ndarray     # (n,) ib − ia
+
+
 @dataclass
 class _ForwardState:
     """Everything the objective gradient needs from one forward pass."""
@@ -84,12 +106,15 @@ class _ForwardState:
     X: np.ndarray
     Z: np.ndarray
     diag: np.ndarray
-    k1: np.ndarray
-    f1: np.ndarray
-    inbox1: np.ndarray
-    ki: np.ndarray       # (d-1, n)
-    fi: np.ndarray       # (d-1, n)
-    inboxi: np.ndarray   # (d-1, n)
+    grid: SampleGrid
+
+    @property
+    def k1(self):
+        return self.grid.k1
+
+    @property
+    def f1(self):
+        return self.grid.f1
 
 
 def _bucket(spec, x):
@@ -97,6 +122,11 @@ def _bucket(spec, x):
     t = np.clip((x + spec.R) / spec.delta, 0.0, float(spec.N))
     k = np.minimum(t.astype(np.intp), spec.N - 1)
     return k, t - k
+
+
+def _cells(spec, x):
+    """``_bucket`` and whether x lies in the box [−R, R)."""
+    return (*_bucket(spec, x), (x >= -spec.R) & (x < spec.R))
 
 
 def _prefix(coef, axis=-1):
@@ -113,88 +143,88 @@ def _leaf_table(spec, lam, li):
     return lam_i[:-N].reshape(2 * N + 2, N), lam_i[-N:]
 
 
-def _leaf_rows(spec, x1):
+def _leaf_rows(spec, x1, k1, f1, inbox):
     """The two table rows a leaf blends at root input x₁, with weights.
 
     In the box x₁ ∈ [−R, R) these are (k₁, f₁) and (N+k₁, 1−f₁); at x₁ ≥ R
     the M3 row 2N with weight 1, below −R the M4 row 2N+1 with weight 1,
-    and the second weight is 0 outside the box.
+    and the second weight is 0 outside the box.  (k₁, f₁, inbox) are
+    ``_cells`` of x₁.
     """
     N = spec.N
-    k1, f1 = _bucket(spec, x1)
-    inbox = (x1 >= -spec.R) & (x1 < spec.R)
     r1 = np.where(inbox, k1, np.where(x1 >= spec.R, 2 * N, 2 * N + 1))
     return ((r1, np.where(inbox, f1, 1.0)),
             (N + k1, np.where(inbox, 1.0 - f1, 0.0)))
 
 
-def _row_ramp(T, P, N, r, ki, fi):
-    """T[r, k_i] and Σ_m T[r, m] ψ((x_i−b_m)/δ); P's rows are N+1 wide."""
-    idx = r * N + ki
-    t = T[idx]
-    return t, P[idx + r] + t * fi
+def sample_grid(spec: DictionarySpec, X) -> SampleGrid:
+    """Bucket every point of X (shape (n, d)) on ``spec``'s grid."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.shape[1] != spec.d:
+        raise ValueError(
+            f"dimension mismatch: expected {spec.d}, got {X.shape[1]}")
+    x1 = X[:, 0]
+    k1, f1, inbox1 = _cells(spec, x1)
+    (r_a, w_a), (r_b, w_b) = _leaf_rows(spec, x1, k1, f1, inbox1)
+    ki, fi, inboxi = _cells(spec, np.ascontiguousarray(X[:, 1:].T))
+    N = spec.N
+    return SampleGrid(k1, f1, inbox1, w_a, w_b, fi, inboxi,
+                      r_a * N + ki, (r_b - r_a) * N)
 
 
-def _leaf_ramps(spec, lam, li, rows, ki, fi):
-    """Leaf li+1 at the two rows ``rows`` of ``_leaf_rows``.
+def _leaf_ramps(spec, lam, li, grid):
+    """Leaf li+1 at the two rows of ``grid``.
 
     Returns T5, the leaf's M5 vector, and (T[r, k_i], s_r) for each row r,
-    with s_r = Σ_m T[r, m] ψ((x_i−b_m)/δ).
+    with s_r = Σ_m T[r, m] ψ((x_i−b_m)/δ).  Both T and its exclusive prefix
+    sums P[r, k] = Σ_{m<k} T[r, m] are read at the flat index r·N + k_i.
     """
     T, T5 = _leaf_table(spec, lam, li)
-    T, P = T.ravel(), _prefix(T, axis=1).ravel()
-    return (T5, *(_row_ramp(T, P, spec.N, r, ki, fi) for r, _ in rows))
+    P = _prefix(T, axis=1)[:, :-1].ravel()
+    T = T.ravel()
+    ia, fi = grid.ia[li], grid.fi[li]
+
+    def ramp(idx):
+        t = T[idx]
+        return t, P[idx] + t * fi
+
+    return T5, ramp(ia), ramp(ia + grid.step)
 
 
-def forward(params: StarMapParams, spec: DictionarySpec, X) -> _ForwardState:
+def forward(params: StarMapParams, spec: DictionarySpec, X,
+            grid: SampleGrid | None = None) -> _ForwardState:
     """One vectorized forward pass: map values and Jacobian diagonal.
 
     Each leaf blends two rows (r, w) of its table (``_leaf_rows``): with
     s_r = Σ_m T[r, m] ψ((x_i−b_m)/δ), its value is Σ w·s_r plus the M5 ramp
     sum in x₁ and its slope Σ w·T[r, k_i]/δ in the box.  The root column,
     which the objective never reads, is left to :func:`jacobian`.
+
+    ``grid`` is :func:`sample_grid` of ``spec`` and X; without it X is
+    bucketed here.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    n, d = X.shape
-    if d != spec.d:
-        raise ValueError(f"dimension mismatch: expected {spec.d}, got {d}")
-    R = spec.R
+    g = sample_grid(spec, X) if grid is None else grid
+    d = X.shape[1]
     inv_delta = 1.0 / spec.delta
     offsets = np.bincount(spec.coord, weights=params.lam * spec.centering,
                           minlength=d)
 
-    x1 = X[:, 0]
-    k1, f1 = _bucket(spec, x1)
-    inbox1 = (x1 >= -R) & (x1 < R)
-
     Z, diag = np.empty_like(X), np.empty_like(X)
-    ki_all = np.empty((d - 1, n), dtype=np.intp)
-    fi_all = np.empty((d - 1, n))
-    inboxi_all = np.empty((d - 1, n), dtype=bool)
-
-    Z[:, 0], diag[:, 0] = _map_1d(spec, *_root_1d(params, spec), x1)
-    # above the outputs on the heap, so freeing them leaves no hole below
-    rows = _leaf_rows(spec, x1)
-    (_, w_a), (_, w_b) = rows
-
+    Z[:, 0], diag[:, 0] = _map_1d(spec, *_root_1d(params, spec), X[:, 0],
+                                  (g.k1, g.f1, g.inbox1))
     for li in range(d - 1):
         i = li + 1
-        xi = X[:, i]
-        ki_all[li], fi_all[li] = _bucket(spec, xi)
-        inboxi_all[li] = (xi >= -R) & (xi < R)
-        ki, fi, inboxi = ki_all[li], fi_all[li], inboxi_all[li]
-
-        T5, (ta, s_a), (tb, s_b) = _leaf_ramps(spec, params.lam, li, rows,
-                                               ki, fi)
-        diag[:, i] = params.alpha[i] + inboxi * (w_a * ta + w_b * tb) \
-            * inv_delta
+        T5, (ta, s_a), (tb, s_b) = _leaf_ramps(spec, params.lam, li, g)
+        diag[:, i] = params.alpha[i] + g.inboxi[li] \
+            * (g.w_a * ta + g.w_b * tb) * inv_delta
         del ta, tb  # before the value's temporaries: the pass's peak memory
-        Z[:, i] = (params.alpha[i] * xi
-                   + (_prefix(T5)[k1] + T5[k1] * f1 + (w_a * s_a + w_b * s_b))
+        Z[:, i] = (params.alpha[i] * X[:, i]
+                   + (_prefix(T5)[g.k1] + T5[g.k1] * g.f1
+                      + (g.w_a * s_a + g.w_b * s_b))
                    + params.v[i] - offsets[i])
 
-    return _ForwardState(X, Z, diag, k1, f1, inbox1,
-                         ki_all, fi_all, inboxi_all)
+    return _ForwardState(X, Z, diag, g)
 
 
 def map_eval(params, spec, x):
@@ -212,13 +242,12 @@ def jacobian(params, spec, x) -> JacobianSketch:
     """
     x = np.asarray(x, dtype=float)
     st = forward(params, spec, x)
-    rows = _leaf_rows(spec, st.X[:, 0])
+    g = st.grid
     root_col = np.empty((st.X.shape[0], spec.d - 1))
     for li in range(spec.d - 1):
-        T5, (_, s_a), (_, s_b) = _leaf_ramps(spec, params.lam, li, rows,
-                                             st.ki[li], st.fi[li])
+        T5, (_, s_a), (_, s_b) = _leaf_ramps(spec, params.lam, li, g)
         root_col[:, li] = np.where(
-            st.inbox1, (T5[st.k1] + (s_a - s_b)) * (1.0 / spec.delta), 0.0)
+            g.inbox1, (T5[g.k1] + (s_a - s_b)) * (1.0 / spec.delta), 0.0)
     if x.ndim == 1:
         return JacobianSketch(st.diag[0], root_col[0])
     return JacobianSketch(st.diag, root_col)
@@ -249,11 +278,11 @@ def inverse_trace_weight(jac: JacobianSketch, partials, coord):
 _HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 
 
-def _map_1d(spec, a, mu, const, x):
-    """Value and slope of the 1-D map a·x + Σ_m mu_m ψ((x−b_m)/δ) + const."""
-    k, f = _bucket(spec, x)
+def _map_1d(spec, a, mu, const, x, cells=None):
+    """Value and slope of the 1-D map a·x + Σ_m mu_m ψ((x−b_m)/δ) + const;
+    ``cells`` is ``_cells`` of x if already known."""
+    k, f, inbox = _cells(spec, x) if cells is None else cells
     val = a * x + _prefix(mu)[k] + mu[k] * f + const
-    inbox = (x >= -spec.R) & (x < spec.R)
     return val, a + inbox * mu[k] / spec.delta
 
 
@@ -307,9 +336,9 @@ def leaf_profile(params, spec, i, x1):
         raise ValueError(f"leaf index out of range: {i}")
     li = i - 1
     x1 = np.asarray([float(x1)])
-    k1, f1 = _bucket(spec, x1)
+    k1, f1, inbox = _cells(spec, x1)
     T, T5 = _leaf_table(spec, params.lam, li)
-    mu = sum(w[0] * T[r[0]] for r, w in _leaf_rows(spec, x1))
+    mu = sum(w[0] * T[r[0]] for r, w in _leaf_rows(spec, x1, k1, f1, inbox))
     idx = spec.leaf_index[li]
     off_i = float(np.sum(params.lam[idx] * spec.centering[idx]))
     const = params.v[i] - off_i + _prefix(T5)[k1[0]] + T5[k1[0]] * f1[0]

@@ -23,6 +23,8 @@ from typing import Callable
 import numpy as np
 from scipy.special import expit, log_expit
 
+from .dictionary import FieldTypeError, check_number
+
 # Points per batched matmul in the non-linear GLM data Hessian.
 _HESSIAN_CHUNK = 64
 
@@ -208,6 +210,7 @@ class GaussianPrior:
     """ϱ(t) = τ² t² / 2."""
 
     def __init__(self, precision):
+        check_number("precision", precision)
         if precision <= 0:
             raise ValueError("prior precision must be positive")
         self.tau2 = float(precision)
@@ -228,6 +231,7 @@ class LogisticPrior:
     """Negative log-density of the logistic distribution with scale s."""
 
     def __init__(self, scale):
+        check_number("scale", scale)
         if scale <= 0:
             raise ValueError("prior scale must be positive")
         self.scale = float(scale)
@@ -282,12 +286,17 @@ class _GlmTarget(TargetPotential):
         y = np.atleast_1d(np.asarray(y, dtype=float))
         if X.shape[0] != y.size:
             raise ValueError("design and response sizes differ")
+        check_number("dispersion", dispersion)
+        check_number("psi_lower", psi_lower, optional=True)
         if dispersion <= 0:
             raise ValueError("dispersion must be positive")
         if isinstance(family, str):
             if family not in LOG_PARTITIONS:
                 raise ValueError(f"unknown log_partition: {family}")
             family = LOG_PARTITIONS[family]
+        elif not isinstance(family, LogPartition):
+            raise FieldTypeError("log_partition", f"must be one of "
+                                 f"{sorted(LOG_PARTITIONS)}, got {family!r}")
         self.X = X
         self.y = y
         self.family = family
@@ -486,6 +495,9 @@ class SpikeSlabGlmTarget(_GlmTarget):
         X = self.X
         if X.shape[1] < 2:
             raise ValueError("spike-slab target needs at least two columns")
+        for field, value in [("eta", eta), ("tau0", tau0), ("tau1", tau1),
+                             ("debias_precision", debias_precision)]:
+            check_number(field, value)
         if not (0.0 <= eta <= 1.0):
             raise ValueError("eta must lie in [0, 1]")
         if not (0.0 < tau1 < tau0):
@@ -589,13 +601,17 @@ _TARGET_KEYS = {
 }
 
 
-def _make_prior(block):
-    """A prior from its block: a type and that type's one parameter."""
+def _make_prior(name, block):
+    """The prior ``name`` from its block: a type and that type's one
+    parameter."""
     kwargs = dict(block)
     kind = kwargs.pop("type", "gaussian")
     if kind not in _PRIORS:
         raise ValueError(f"unknown prior type: {kind}")
-    return _PRIORS[kind](**kwargs)
+    try:
+        return _PRIORS[kind](**kwargs)
+    except FieldTypeError as exc:
+        raise FieldTypeError(f"{name}.{exc.field}", exc.detail) from None
 
 
 def target_from_json(block):
@@ -608,9 +624,15 @@ def target_from_json(block):
         raise ValueError(f"unknown target keys: {sorted(unknown)}")
     if family == "gaussian":
         return GaussianTarget(block["mean"], block["cov"])
-    X = (np.asarray(block["design"], dtype=float) if "design" in block
-         else load_design_csv(block["design_csv"],
-                              header=block.get("design_csv_header", False)))
+    if "design" in block:
+        for key in ("design_csv", "design_csv_header"):
+            if key in block:
+                raise ValueError(f"{key}: given with an inline design; "
+                                 "give one of design and design_csv")
+        X = np.asarray(block["design"], dtype=float)
+    else:
+        X = load_design_csv(block["design_csv"],
+                            header=block.get("design_csv_header", False))
     glm = dict(family=block.get("log_partition", "linear"),
                dispersion=block.get("dispersion", 1.0),
                psi_lower=block.get("psi_lower"))
@@ -618,8 +640,9 @@ def target_from_json(block):
     if family == "glm_location":
         gaussian = {"type": "gaussian", "precision": 1.0}
         return GlmLocationTarget(
-            X, y, prior=_make_prior(block.get("prior", gaussian)),
-            hyperprior=_make_prior(block.get("hyperprior", gaussian)), **glm)
+            X, y, prior=_make_prior("prior", block.get("prior", gaussian)),
+            hyperprior=_make_prior("hyperprior",
+                                   block.get("hyperprior", gaussian)), **glm)
     return SpikeSlabGlmTarget(
         X, y, eta=block["eta"], tau0=block["tau0"], tau1=block["tau1"],
         debias_precision=block.get("debias_precision", 1.0), **glm)

@@ -323,3 +323,62 @@ def test_module_entry_point_exits_2_with_one_line(tmp_path):
     assert proc.stderr.startswith("config error: optimizer: max_iters")
     assert proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+GLM = {"family": "glm_location", "design": [[1.0, 0.0], [0.0, 1.0]],
+       "response": [1.0, 0.0]}
+
+
+# A value of the wrong type inside a block is named by its key, in every
+# block that reads numbers.
+@pytest.mark.parametrize("overrides, field", [
+    ({"dictionary": {"R": "a", "delta": 1.0}}, "dictionary.R"),
+    ({"dictionary": {"R": 2.0, "delta": [1.0]}}, "dictionary.delta"),
+    ({"target": dict(SPIKE_SLAB, eta="x")}, "target.eta"),
+    ({"target": dict(SPIKE_SLAB, tau1=None)}, "target.tau1"),
+    ({"target": dict(GLM, dispersion="x")}, "target.dispersion"),
+    ({"target": dict(GLM, psi_lower=True)}, "target.psi_lower"),
+    ({"target": dict(GLM, prior={"precision": "x"})},
+     "target.prior.precision"),
+    ({"target": dict(GLM, hyperprior={"type": "logistic", "scale": "x"})},
+     "target.hyperprior.scale"),
+], ids=["dictionary-R", "dictionary-delta", "spike-slab-eta",
+        "spike-slab-tau1", "glm-dispersion", "glm-psi-lower",
+        "glm-prior-precision", "glm-hyperprior-scale"])
+def test_wrong_type_names_its_key(tmp_path, capsys, overrides, field):
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["fit", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}: must be a real number, "
+                          "got "), err
+
+
+@pytest.mark.parametrize("R", [float("inf"), float("nan")])
+def test_nonfinite_grid_exits_2(tmp_path, capsys, R):
+    # JSON's Infinity and NaN literals parse to floats
+    cfg = write_config(tmp_path, dictionary={"R": R, "delta": 1.0})
+    assert main(["fit", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: dictionary: R and delta must be positive and finite")
+
+
+def test_log_partition_of_wrong_type_names_its_key(tmp_path, capsys):
+    cfg = write_config(tmp_path, target=dict(GLM, log_partition=5))
+    assert main(["fit", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: target.log_partition: must be one of")
+
+
+@pytest.mark.parametrize("extra, field", [
+    ({"design_csv": "no-such.csv"}, "design_csv"),
+    ({"design_csv_header": True}, "design_csv_header"),
+], ids=["design-and-csv", "header-without-csv"])
+def test_ambiguous_design_exits_2(tmp_path, capsys, extra, field):
+    cfg = write_config(tmp_path, target=dict(GLM, **extra))
+    assert main(["fit", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: target: {field}: given with an inline design")

@@ -38,6 +38,27 @@ class TestSizeAndOrdering:
         with pytest.raises(ValueError):
             ssvi.build_dictionary(2, 1.0, 0.3)
 
+    @pytest.mark.parametrize("args, field", [
+        ((2, "a", 1.0), "R: must be a real number"),
+        ((2, 2.0, None), "delta: must be a real number"),
+        ((2, True, 1.0), "R: must be a real number"),
+        ((2.0, 2.0, 1.0), "d: must be an integer"),
+    ])
+    def test_rejects_wrong_types_by_name(self, args, field):
+        with pytest.raises(TypeError, match=f"^{field}, got "):
+            ssvi.build_dictionary(*args)
+
+    def test_rejects_nonfinite_geometry(self):
+        with pytest.raises(ValueError, match="finite"):
+            ssvi.build_dictionary(2, float("inf"), 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            ssvi.build_dictionary(2, 2.0, float("nan"))
+
+    def test_accepts_numpy_scalars(self):
+        spec = ssvi.build_dictionary(np.int64(2), np.float64(2.0),
+                                     np.float32(1.0))
+        assert (spec.d, spec.R, spec.delta) == (2, 2.0, 1.0)
+
 
 class TestCentering:
     def test_ramp_mean_closed_form(self):

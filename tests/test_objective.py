@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ssvi
-from ssvi.objective import SaaSample, _ramp_sums, free_energy, gradient
+from ssvi.objective import (SaaSample, _fsum, _ramp_sums, free_energy,
+                            gradient)
 
 from conftest import random_admissible_params
 
@@ -155,3 +160,118 @@ class TestGradient:
         glam0, gv0 = gradient(params, spec3, gauss3_target, sample3)
         assert np.array_equal(glam, glam0)
         assert np.array_equal(gv, gv0)
+
+
+def _outcome(fn, values):
+    """The bits of ``fn(values)``, or the type of what it raised."""
+    try:
+        return np.float64(fn(values)).tobytes()
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+def _assert_fsum_bits(values):
+    a = np.asarray(values, dtype=float)
+    assert _outcome(_fsum, a) == _outcome(math.fsum, a.tolist()), values
+
+
+_TINY = 2.0 ** -1074
+# mixed magnitudes from subnormals up to 1e300, both signs
+_finite = st.one_of(
+    st.floats(min_value=-1e300, max_value=1e300),
+    st.builds(math.ldexp, st.floats(min_value=-1.0, max_value=1.0),
+              st.integers(min_value=-1074, max_value=996)),
+    st.integers(min_value=-2 ** 20, max_value=2 ** 20).map(
+        lambda k: k * _TINY))
+
+
+class TestExactReduction:
+    """``_fsum`` has the bits of math.fsum, sign of zero included."""
+
+    @pytest.mark.parametrize("values", [
+        [1.0, 2.0 ** -53],                       # tie: rounds to even
+        [1.0, 2.0 ** -53, 2.0 ** -106],          # just above the tie
+        [1.0, 2.0 ** -53, -2.0 ** -106],         # just below the tie
+        [1.0 + 2.0 ** -52, 2.0 ** -53],          # tie: rounds up to even
+        [-1.0, -2.0 ** -53, -2.0 ** -106],
+        [0.0], [-0.0], [-0.0, -0.0], [0.0, -0.0], [1.0, -1.0],
+        [_TINY], [-_TINY, _TINY, _TINY], [2.0 ** -1022, -_TINY],
+        [1e300, -1e300, 1.0], [2.0 ** 959, 2.0 ** 959, -2.0 ** 959],
+        [1e308, 1e308], [1.0, math.inf], [math.inf, -math.inf],
+        [1.0, math.nan], [-math.inf, 2.0],
+    ])
+    def test_edge_cases(self, values):
+        _assert_fsum_bits(values)
+
+    @given(st.lists(_finite, min_size=1, max_size=60))
+    @example([1e-300, 1e300, -1e300, 1e-300])
+    def test_mixed_magnitudes(self, values):
+        _assert_fsum_bits(values)
+
+    @given(st.lists(_finite, min_size=1, max_size=40),
+           st.lists(_finite, max_size=5), st.randoms(use_true_random=False))
+    def test_heavy_cancellation(self, values, residue, rnd):
+        terms = values + [-v for v in values] + residue
+        rnd.shuffle(terms)
+        _assert_fsum_bits(terms)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=1, max_value=30000),
+           st.integers(min_value=0, max_value=2 ** 32 - 1),
+           st.integers(min_value=-1074, max_value=900),
+           st.integers(min_value=0, max_value=120),
+           st.booleans())
+    def test_large_samples(self, n, seed, low, span, cancel):
+        # n terms with exponents spread over [low, low + span]
+        rng = np.random.default_rng(seed)
+        a = np.ldexp(rng.uniform(-1.0, 1.0, n),
+                     rng.integers(low, low + span + 1, n))
+        if cancel:
+            a[n // 2:2 * (n // 2)] = -a[:n // 2]
+            rng.shuffle(a)
+        _assert_fsum_bits(a)
+
+    @given(st.lists(_finite, min_size=1, max_size=30),
+           st.sampled_from([math.inf, -math.inf, math.nan]),
+           st.integers(min_value=0, max_value=30))
+    def test_nonfinite_fallback(self, values, bad, at):
+        values.insert(min(at, len(values)), bad)
+        _assert_fsum_bits(values)
+
+
+class TestSampleGrid:
+    def test_cached_forward_equals_fresh_bucketing(self, spec3, sample3):
+        params = random_admissible_params(spec3, np.random.default_rng(5))
+        X = 1.6 * sample3.X  # every side of the box on every coordinate
+        sample = SaaSample(sample3.seed, sample3.n, sample3.d, X)
+        cached = ssvi.forward(params, spec3, X, grid=sample.grid(spec3))
+        fresh = ssvi.forward(params, spec3, X)
+        assert sample.grid(spec3) is cached.grid
+        assert np.array_equal(cached.Z, fresh.Z)
+        assert np.array_equal(cached.diag, fresh.diag)
+
+    def test_grid_kept_per_instance(self, spec3, sample3):
+        # same (seed, n, d), other X: never the other sample's grid
+        perm = np.random.default_rng(2).permutation(sample3.n)
+        shuffled = SaaSample(sample3.seed, sample3.n, sample3.d,
+                             sample3.X[perm])
+        assert shuffled.grid(spec3) is not sample3.grid(spec3)
+        assert np.array_equal(shuffled.grid(spec3).ia,
+                              sample3.grid(spec3).ia[:, perm])
+
+    def test_one_sample_two_grids(self, gauss3_target):
+        # δ = 1 and δ = ½ in turn on one sample, against fresh samples
+        shared = SaaSample.build(3, 3000, 3)
+        specs = [ssvi.build_dictionary(3, 2.0, delta)
+                 for delta in (1.0, 0.5, 1.0)]
+        for k, spec in enumerate(specs):
+            params = random_admissible_params(spec,
+                                              np.random.default_rng(k))
+            fresh = SaaSample.build(3, 3000, 3)
+            a = free_energy(params, spec, gauss3_target, shared)
+            b = free_energy(params, spec, gauss3_target, fresh)
+            assert (a.value, a.std_error) == (b.value, b.std_error)
+            ga = gradient(params, spec, gauss3_target, shared)
+            gb = gradient(params, spec, gauss3_target, fresh)
+            assert np.array_equal(ga[0], gb[0])
+            assert np.array_equal(ga[1], gb[1])

@@ -308,6 +308,21 @@ class TestHelpers:
         z = np.random.default_rng(0).normal(size=(4, t.d))
         assert np.array_equal(t.potential(z), inline.potential(z))
 
+    @pytest.mark.parametrize("family", ["glm_location", "spike_slab"])
+    @pytest.mark.parametrize("extra", ["design_csv", "design_csv_header"])
+    def test_target_from_json_rejects_two_designs(self, tmp_path, family,
+                                                  extra):
+        # the CSV path does not exist: it must not be silently ignored
+        block = {"family": family, "design": [[1.0, 0.5], [-0.3, 2.0]],
+                 "response": [1.0, -0.5],
+                 extra: str(tmp_path / "no.csv") if extra == "design_csv"
+                 else True}
+        if family == "spike_slab":
+            block.update(eta=0.5, tau0=2.0, tau1=1.0)
+        with pytest.raises(ValueError, match=f"^{extra}: given with an "
+                                             "inline design"):
+            ssvi.target_from_json(block)
+
     def test_target_from_json_missing_design_csv(self, tmp_path):
         with pytest.raises(OSError):
             ssvi.target_from_json({
