@@ -13,17 +13,26 @@ Q is block-diagonal by coordinate (one root block, d−1 identical leaf
 blocks) and the cone is a product of per-coordinate cones, so the solve
 Q⁻¹∇, the Θ-norm and the projection all run one block at a time; no dense
 p×p array is formed.
+
+A fit alternates numpy's matrix products (Q z, Q(θ − z), W_{:,A} y and the
+targets' batched products) with scipy's Cholesky factors and solves, which
+run on a second OpenBLAS copy with its own thread pool.  ``run_pgd`` runs
+numpy's pool at one thread, so its spinning workers do not take the cores
+from scipy's pool; numpy's products split output rows, never a sum, across
+threads, so the bits do not change.  scipy's pool keeps its thread count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral, Real
+from numbers import Integral
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
+from .blas import blas_threads
+from .dictionary import check_number
 from .objective import SaaSample, TargetOverflowError, free_energy, gradient
 from .starmap import ConeViolationError, StarMapParams
 
@@ -46,13 +55,10 @@ class PgdConfig:
     n_samples: int = 20000
 
     def __post_init__(self):
-        for name, kind in [("step_size", (Real, type(None))), ("tol", Real),
-                           ("max_iters", Integral), ("seed", Integral),
-                           ("n_samples", Integral)]:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, kind):
-                noun = "an integer" if kind is Integral else "a real number"
-                raise TypeError(f"{name} must be {noun}, got {value!r}")
+        check_number("step_size", self.step_size, optional=True)
+        check_number("tol", self.tol)
+        for name in ("max_iters", "seed", "n_samples"):
+            check_number(name, getattr(self, name), Integral)
         if self.step_size is not None and not self.step_size > 0:
             raise ValueError("step_size must be positive")
         if not self.n_samples >= 1:
@@ -247,6 +253,13 @@ def map_point(target, x0=None, iters=20):
 def run_pgd(target, spec, gram, config: PgdConfig, consts=None,
             init: StarMapParams | None = None, sample: SaaSample | None = None
             ) -> FitResult:
+    """Fit by PGD with numpy's BLAS pool at one thread (restored on exit,
+    also when the fit raises)."""
+    with blas_threads(numpy=1):
+        return _run_pgd(target, spec, gram, config, consts, init, sample)
+
+
+def _run_pgd(target, spec, gram, config, consts, init, sample):
     if consts is None:
         consts = target.regularity_constants()
     L = max(consts.L, consts.L_root / 2.0)

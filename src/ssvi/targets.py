@@ -604,6 +604,8 @@ _TARGET_KEYS = {
 def _make_prior(name, block):
     """The prior ``name`` from its block: a type and that type's one
     parameter."""
+    if not isinstance(block, dict):
+        raise FieldTypeError(name, f"must be an object, got {block!r}")
     kwargs = dict(block)
     kind = kwargs.pop("type", "gaussian")
     if kind not in _PRIORS:

@@ -320,7 +320,8 @@ def test_module_entry_point_exits_2_with_one_line(tmp_path):
          "--out", str(tmp_path / "o")],
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 2
-    assert proc.stderr.startswith("config error: optimizer: max_iters")
+    assert proc.stderr.startswith(
+        "config error: optimizer.max_iters: must be an integer, got 2.5")
     assert proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
 
@@ -352,6 +353,15 @@ def test_wrong_type_names_its_key(tmp_path, capsys, overrides, field):
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {field}: must be a real number, "
                           "got "), err
+
+
+@pytest.mark.parametrize("key", ["prior", "hyperprior"])
+def test_prior_that_is_not_an_object_names_its_key(tmp_path, capsys, key):
+    cfg = write_config(tmp_path, target=dict(GLM, **{key: 5}))
+    assert main(["fit", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: target.{key}: must be an object, got 5\n"
 
 
 @pytest.mark.parametrize("R", [float("inf"), float("nan")])

@@ -6,6 +6,7 @@ from scipy.optimize import lsq_linear
 
 import ssvi
 from ssvi import objective, optimizer
+from ssvi.blas import blas_threads, thread_count
 from ssvi.objective import TargetOverflowError
 from ssvi.optimizer import (MAX_HALVINGS, OptimizerError, PgdConfig,
                             compute_upsilon, map_point, project_cone_q,
@@ -409,6 +410,54 @@ class TestRunPgd:
         assert res.iterations == 25
         assert calls["free_energy"] >= res.iterations + 1
         assert calls["forward"] == calls["free_energy"]
+
+
+class BlasRecordingTarget(ssvi.GaussianTarget):
+    """Records both BLAS pools' thread counts at each potential call; with
+    ``overflow``, every batch after the initial point's overflows."""
+
+    def __init__(self, mean, cov, overflow=False):
+        super().__init__(mean, cov)
+        self.overflow = overflow
+        self.batches = 0
+        self.seen = []
+
+    def potential(self, z):
+        self.seen.append((thread_count("numpy"), thread_count("scipy")))
+        out = super().potential(z)
+        if np.ndim(z) > 1:
+            self.batches += 1
+            if self.overflow and self.batches > 1:
+                return np.full_like(out, np.inf)
+        return out
+
+
+class TestBlasThreads:
+    """run_pgd runs numpy's pool at one thread and restores both pools."""
+
+    def fit(self, gauss2_target, overflow):
+        target = BlasRecordingTarget(gauss2_target.mean, gauss2_target.cov,
+                                     overflow=overflow)
+        spec = ssvi.build_dictionary(2, 2.0, 1.0)
+        cfg = PgdConfig(step_size=0.5, max_iters=3, n_samples=1000, seed=0)
+        return target, lambda: run_pgd(target, spec, ssvi.gram_matrix(spec),
+                                       cfg)
+
+    @pytest.mark.parametrize("overflow", [False, True],
+                             ids=["returns", "raises"])
+    def test_pins_numpy_and_restores_both(self, gauss2_target, overflow):
+        # launched pools may already run one thread; start from two so the
+        # pin and the restore both show
+        with blas_threads(numpy=2, scipy=2):
+            target, fit = self.fit(gauss2_target, overflow)
+            if overflow:
+                with pytest.raises(TargetOverflowError):
+                    fit()
+            else:
+                assert fit().iterations == 3
+            assert (thread_count("numpy"), thread_count("scipy")) == (2, 2)
+        assert target.seen
+        assert set(target.seen) == {(1, 2)}
 
 
 def test_fit_allocates_no_dense_gram(monkeypatch):
