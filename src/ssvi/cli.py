@@ -1,10 +1,11 @@
 """Batch front-end: fit / oracle-gaussian / diagnose / compare.
 
 Exit codes: 0 success, 2 configuration error (message names the offending
-field path), 3 runtime or optimizer error.  All primary outputs are
-byte-reproducible for a fixed config and seed regardless of ``--threads``;
-every emitted file carries the tool version and the dictionary ordering
-version.
+field path), 3 runtime or optimizer error.  Every command runs with both
+OpenBLAS pools, numpy's and scipy's, at one thread, so its primary outputs
+are byte-reproducible for a fixed config and seed whatever thread count the
+process was launched with; ``--threads`` is accepted and ignored.  Every
+emitted file carries the tool version and the dictionary ordering version.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import time
 import numpy as np
 
 from . import __version__
+from .blas import blas_threads
 from .dictionary import (ORDERING_VERSION, FieldTypeError, build_dictionary,
                          gram_matrix)
 from .diagnostics import (DiagnosticsError, approximation_bound,
@@ -149,16 +151,6 @@ def _write_csv(path, header, rows):
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
-
-
-def _set_threads(n):
-    if n is None:
-        return
-    try:
-        from threadpoolctl import threadpool_limits
-        threadpool_limits(limits=int(n))
-    except ImportError:
-        pass  # without threadpoolctl installed, --threads does nothing
 
 
 # ---------------------------------------------------------------------------
@@ -305,17 +297,20 @@ def _parser():
         sp.add_argument("--config", required=True, metavar="PATH")
         sp.add_argument("--out", metavar="DIR", default=None)
         sp.add_argument("--seed", type=int, default=None, metavar="U64")
-        sp.add_argument("--threads", type=int, default=None, metavar="N")
+        sp.add_argument("--threads", type=int, default=None, metavar="N",
+                        help="ignored: every command runs BLAS at one thread")
         sp.add_argument("--mc-samples", type=int, default=None, metavar="N")
     return p
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    _set_threads(args.threads)
     try:
-        cfg = _load_config(args)
-        return _COMMANDS[args.command](cfg, args)
+        # one thread per pool: a multi-threaded Gram build or solve may
+        # reduce in another order and change the outputs' last bits
+        with blas_threads(numpy=1, scipy=1):
+            cfg = _load_config(args)
+            return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

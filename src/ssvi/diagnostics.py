@@ -99,11 +99,13 @@ def _conditional_sample(params, spec, z1, rng, mc_n, skip=None):
 
 def check_residual_settings(grid_sizes, mc_n):
     """(n_root, n_leaf) from one positive integer or a pair; mc_n ≥ 100."""
-    if not isinstance(mc_n, Integral) or mc_n < 100:
+    def integer(n):  # a bool is an Integral, but not a size
+        return isinstance(n, Integral) and not isinstance(n, bool)
+
+    if not integer(mc_n) or mc_n < 100:
         raise DiagnosticsError(f"mc_n must be an integer ≥ 100, got {mc_n!r}")
     sizes = [grid_sizes] * 2 if np.isscalar(grid_sizes) else list(grid_sizes)
-    if len(sizes) != 2 or not all(isinstance(n, Integral) and n >= 1
-                                  for n in sizes):
+    if len(sizes) != 2 or not all(integer(n) and n >= 1 for n in sizes):
         raise DiagnosticsError("grid_sizes must be a positive integer or a "
                                f"pair of them, got {grid_sizes!r}")
     return sizes

@@ -47,16 +47,12 @@ def ssvi_gaussian(m, cov) -> GaussianDist:
     cov = _validate_spd(cov)
     m = np.asarray(m, dtype=float)
     P = _precision(cov)
-    d = cov.shape[0]
+    c, leaf = cov[0, 1:], np.arange(1, cov.shape[0])
     out = np.empty_like(cov)
     out[0, :] = cov[0, :]
     out[:, 0] = cov[:, 0]
-    for i in range(1, d):
-        for j in range(1, d):
-            if i == j:
-                out[i, i] = 1.0 / P[i, i] + cov[0, i] ** 2 / cov[0, 0]
-            else:
-                out[i, j] = cov[0, i] * cov[0, j] / cov[0, 0]
+    out[1:, 1:] = np.outer(c, c) / cov[0, 0]
+    out[leaf, leaf] += 1.0 / np.diag(P)[1:]
     star = _validate_spd(out)
     return GaussianDist(m.copy(), star,
                         float(np.linalg.eigvalsh(star).min()))

@@ -47,7 +47,7 @@ class StarMapParams:
         self.alpha = np.asarray(self.alpha, dtype=float)
         self.lam = np.asarray(self.lam, dtype=float)
         self.v = np.asarray(self.v, dtype=float)
-        if np.any(self.alpha <= 0):
+        if not np.all(self.alpha > 0):  # NaN fails too
             raise ValueError("spike entries must be positive")
 
     def copy(self):
@@ -415,7 +415,12 @@ def params_to_json(params: StarMapParams, spec: DictionarySpec) -> dict:
 
 
 def params_from_json(block, spec: DictionarySpec | None = None):
-    """Load (params, spec) from a dict or JSON string."""
+    """Load (params, spec) from a dict or JSON string.
+
+    The map must be finite and increasing: every slope of the root map,
+    α₁ + λ_root[k]/δ, and of each leaf table row, α_i + T[r, k]/δ, must be
+    positive, as the pushforward densities' inverses assume.
+    """
     if isinstance(block, str):
         block = json.loads(block)
     meta = block["dict"]
@@ -431,4 +436,13 @@ def params_from_json(block, spec: DictionarySpec | None = None):
     if (params.lam.size != spec.p or params.v.size != spec.d
             or params.alpha.size != spec.d):
         raise ValueError("parameter sizes do not match the dictionary")
+    if not all(np.isfinite(x).all()
+               for x in (params.alpha, params.lam, params.v)):
+        raise ValueError("alpha, lambda and v must be finite")
+    N, delta = spec.N, spec.delta
+    tables = params.lam[spec.leaf_index][:, :-N]  # each leaf's M1–M4 table
+    if not (np.all(params.alpha[0] + params.lam[:N] / delta > 0)
+            and np.all(params.alpha[1:, None] + tables / delta > 0)):
+        raise ValueError("the map is not increasing: a slope α + λ/δ of "
+                         "the root map or of a leaf table is not positive")
     return params, spec

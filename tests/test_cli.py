@@ -7,7 +7,9 @@ import sys
 import numpy as np
 import pytest
 
+from ssvi.blas import blas_threads, thread_count
 from ssvi.cli import main
+from ssvi.optimizer import OptimizerError
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -159,7 +161,9 @@ class TestDiagnose:
                      "--out", str(tmp_path / "o")]) == 2
 
     @pytest.mark.parametrize("damage", [None, "not-json", "short-lambda",
-                                        "short-alpha", "other-grid"])
+                                        "short-alpha", "other-grid",
+                                        "nan-alpha", "decreasing-root",
+                                        "decreasing-leaf"])
     def test_params_path(self, tmp_path, capsys, damage):
         import ssvi
         spec = ssvi.build_dictionary(2, 2.0, 1.0)
@@ -170,6 +174,12 @@ class TestDiagnose:
             blob["alpha"] = blob["alpha"][:1]
         if damage == "other-grid":  # the same p on another grid
             blob["dict"].update(R=4.0, delta=2.0)
+        if damage == "nan-alpha":  # json writes and reads NaN
+            blob["alpha"][0] = float("nan")
+        if damage == "decreasing-root":  # slope 1 − 5/δ on one root cell
+            blob["lambda"][0] = -5.0
+        if damage == "decreasing-leaf":  # slope 1 − 5/δ on one leaf cell
+            blob["lambda"][int(spec.leaf_index[0][0])] = -5.0
         path = tmp_path / "params.json"
         path.write_text("{" if damage == "not-json" else json.dumps(blob))
         cfg = write_config(tmp_path, diagnostics={
@@ -241,6 +251,7 @@ BOTH = ("fit", "diagnose")
     ({"diagnostics": {"mc_n": "abc"}}, "diagnostics", ("diagnose",)),
     ({"diagnostics": {"mc_n": 50}}, "diagnostics", ("diagnose",)),
     ({"diagnostics": {"grid_sizes": 0}}, "diagnostics", ("diagnose",)),
+    ({"diagnostics": {"grid_sizes": True}}, "diagnostics", ("diagnose",)),
     ({"seed": "x"}, "seed", BOTH),
     ({"dictionary": {"R": "a", "delta": 1.0}}, "dictionary", BOTH),
     ({"optimizer": {"step_size": 0.5, "max_iters": 2.5}}, "optimizer", BOTH),
@@ -252,9 +263,9 @@ BOTH = ("fit", "diagnose")
                              "response": [1.0, 0.0]}}, "target", BOTH),
     ({"target": dict(SPIKE_SLAB, debias_precison=5.0)}, "target", BOTH),
 ], ids=["optimizer-not-object", "diagnostics-not-object", "mc-n-string",
-        "mc-n-small", "grid-sizes-zero", "seed-string", "dictionary-R-string",
-        "max-iters-float", "tol-string", "eta-string", "output-dir-number",
-        "missing-design-csv", "target-key-typo"])
+        "mc-n-small", "grid-sizes-zero", "grid-sizes-bool", "seed-string",
+        "dictionary-R-string", "max-iters-float", "tol-string", "eta-string",
+        "output-dir-number", "missing-design-csv", "target-key-typo"])
 def test_malformed_config_exits_2_before_any_work(
         tmp_path, monkeypatch, capsys, overrides, section, commands):
     import ssvi.cli
@@ -309,21 +320,118 @@ def test_diagnose_mc_samples_sets_only_mc_n(tmp_path, monkeypatch):
     assert seen["n_samples"] == 100
 
 
-def test_module_entry_point_exits_2_with_one_line(tmp_path):
+def run_module(args, **env):
+    """``python -m ssvi.cli *args`` in a fresh interpreter that imports this
+    ssvi, with ``env`` added to the environment."""
     import ssvi
-    cfg = write_config(tmp_path, optimizer={"max_iters": 2.5})
     src = os.path.dirname(os.path.dirname(ssvi.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "ssvi.cli", "fit", "--config", str(cfg),
-         "--out", str(tmp_path / "o")],
-        capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, "-m", "ssvi.cli", *args],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
+def test_module_entry_point_exits_2_with_one_line(tmp_path):
+    cfg = write_config(tmp_path, optimizer={"max_iters": 2.5})
+    proc = run_module(["fit", "--config", str(cfg),
+                       "--out", str(tmp_path / "o")])
     assert proc.returncode == 2
     assert proc.stderr.startswith(
         "config error: optimizer.max_iters: must be an integer, got 2.5")
     assert proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+def test_outputs_do_not_depend_on_the_launch_thread_count(tmp_path):
+    # criterion 12's config, run by processes whose OpenBLAS pools start at
+    # one and at two threads
+    cfg = write_config(tmp_path)
+    commands = ("fit", "diagnose", "compare", "oracle-gaussian")
+    for threads in ("1", "2"):
+        for command in commands:
+            proc = run_module([command, "--config", str(cfg),
+                               "--out", str(tmp_path / threads)],
+                              OPENBLAS_NUM_THREADS=threads)
+            assert proc.returncode == 0, proc.stderr
+    a, b = tmp_path / "1", tmp_path / "2"
+    files = sorted(os.listdir(a))
+    assert files == sorted(os.listdir(b)) == [
+        "compare.json", "diagnose.json", "oracle.json", "params.json",
+        "residuals.csv", "summary.json", "trace.csv"]
+
+    def primary(path):
+        if path.name != "summary.json":
+            return path.read_bytes()
+        summary = json.loads(path.read_text())
+        del summary["runtime_ms"]  # a wall time
+        return summary
+
+    assert [name for name in files
+            if primary(a / name) != primary(b / name)] == []
+
+
+def pool_counts():
+    return thread_count("numpy"), thread_count("scipy")
+
+
+class TestBlasPin:
+    """main runs every command with both OpenBLAS pools at one thread and
+    puts back the counts it found, whatever the exit code."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        import ssvi.cli
+        seen = []
+        real_potential = ssvi.GaussianTarget.potential
+        real_gram = ssvi.cli.gram_matrix
+
+        def potential(self, z):
+            seen.append(pool_counts())
+            return real_potential(self, z)
+
+        def gram(spec):  # the set-up before the fit
+            seen.append(pool_counts())
+            return real_gram(spec)
+
+        monkeypatch.setattr(ssvi.GaussianTarget, "potential", potential)
+        monkeypatch.setattr(ssvi.cli, "gram_matrix", gram)
+        return seen
+
+    def run(self, tmp_path, command, code, **overrides):
+        cfg = write_config(tmp_path, **{
+            "optimizer": {"step_size": 0.5, "max_iters": 2,
+                          "n_samples": 500},
+            "diagnostics": {"grid_sizes": [3, 3], "mc_n": 100},
+            **overrides})
+        # launched pools may already run one thread; start from two so the
+        # pin and the restore both show
+        with blas_threads(numpy=2, scipy=2):
+            assert main([command, "--config", str(cfg),
+                         "--out", str(tmp_path / "o")]) == code
+            assert pool_counts() == (2, 2)
+
+    @pytest.mark.parametrize("command", ["fit", "diagnose"])
+    def test_pins_both_pools(self, tmp_path, seen, command):
+        self.run(tmp_path, command, 0)
+        assert seen and set(seen) == {(1, 1)}
+
+    def test_restores_after_a_config_error(self, tmp_path, seen):
+        # the dictionary section is read inside the command, under the pin
+        self.run(tmp_path, "fit", 2, dictionary={"R": 2.0, "delta": 0.3})
+        assert seen == []
+
+    def test_restores_after_an_optimizer_error(self, tmp_path, seen,
+                                                monkeypatch):
+        import ssvi.cli
+
+        def failing(*args, **kwargs):
+            seen.append(pool_counts())
+            raise OptimizerError("no step accepted")
+
+        monkeypatch.setattr(ssvi.cli, "run_pgd", failing)
+        self.run(tmp_path, "fit", 3)
+        assert seen == [(1, 1), (1, 1)]  # the Gram build, then the fit
 
 
 GLM = {"family": "glm_location", "design": [[1.0, 0.0], [0.0, 1.0]],

@@ -102,7 +102,8 @@ class TestSelfConsistency:
 
     @pytest.mark.parametrize("grid_sizes, mc_n", [
         (0, 100), ([3, 0], 100), ([3], 100), ([3, 3, 3], 100), (2.5, 100),
-        ("abc", 100), (None, 100), (3, 50), (3, 100.5), (3, "abc")])
+        ("abc", 100), (None, 100), (3, 50), (3, 100.5), (3, "abc"),
+        (True, 100), ([3, True], 100)])
     def test_settings_rejected(self, grid_sizes, mc_n):
         with pytest.raises((DiagnosticsError, TypeError)):
             check_residual_settings(grid_sizes, mc_n)

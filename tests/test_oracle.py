@@ -31,6 +31,25 @@ class TestSsviGaussian:
                                           cov[0, i] * cov[0, j] / cov[0, 0],
                                           atol=1e-10)
 
+    @pytest.mark.parametrize("d", [2, 5, 10])
+    def test_matches_the_entrywise_loop_bit_for_bit(self, d):
+        from ssvi.gaussian_oracle import _precision, _validate_spd
+        cov = random_spd(np.random.default_rng(d), d)
+        cov[0, 1] = cov[1, 0] = 0.0  # zero times a negative gives −0.0
+        cov = _validate_spd(cov)
+        P = _precision(cov)
+        loop = cov.copy()
+        for i in range(1, d):
+            for j in range(1, d):
+                if i == j:
+                    loop[i, i] = 1.0 / P[i, i] + cov[0, i] ** 2 / cov[0, 0]
+                else:
+                    loop[i, j] = cov[0, i] * cov[0, j] / cov[0, 0]
+        star = ssvi.ssvi_gaussian(np.zeros(d), cov).cov
+        expect = _validate_spd(loop)
+        assert np.array_equal(star, expect)
+        assert np.array_equal(np.signbit(star), np.signbit(expect))
+
     def test_exact_for_d2(self):
         cov = np.array([[1.0, 0.5], [0.5, 1.0]])
         star = ssvi.ssvi_gaussian(np.zeros(2), cov)

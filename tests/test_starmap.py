@@ -221,8 +221,40 @@ class TestSerialization:
                 ssvi.params_from_json(block)
 
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    @pytest.mark.parametrize("key", ["alpha", "lambda", "v"])
+    def test_nonfinite_rejected(self, spec3, rand_params, key, value):
+        block = ssvi.params_to_json(rand_params, spec3)
+        block[key][-1] = value  # for lambda, a free M5 entry
+        with pytest.raises(ValueError):
+            ssvi.params_from_json(json.dumps(block))
+
+    @pytest.mark.parametrize("where", ["root", "leaf-M1", "leaf-M4"])
+    def test_nonincreasing_map_rejected(self, spec3, where):
+        N = spec3.N
+        table = spec3.leaf_index[1][:-N]  # leaf 2's M1–M4 table, by row
+        lam = np.zeros(spec3.p)
+        lam[{"root": 0, "leaf-M1": table[0], "leaf-M4": table[-1]}[where]] \
+            = -spec3.delta  # slope α + λ/δ = 0 on one cell
+        params = ssvi.StarMapParams(np.ones(3), lam, np.zeros(3))
+        with pytest.raises(ValueError, match="not increasing"):
+            ssvi.params_from_json(ssvi.params_to_json(params, spec3))
+
+    def test_projection_rounding_accepted(self, spec3):
+        # the projection leaves constrained λ ≥ −1e-14; M5 slopes are in x₁
+        lam = np.where(spec3.constrained, -1e-14, -50.0)
+        params = ssvi.StarMapParams(np.full(3, 0.1), lam, np.zeros(3))
+        loaded, _ = ssvi.params_from_json(ssvi.params_to_json(params, spec3))
+        assert np.array_equal(loaded.lam, lam)
+
+
 class TestParamsValidation:
     def test_rejects_nonpositive_alpha(self, spec3):
         with pytest.raises(ValueError):
             ssvi.StarMapParams(np.array([1.0, 0.0, 1.0]),
+                               np.zeros(spec3.p), np.zeros(3))
+
+    def test_rejects_nan_alpha(self, spec3):
+        with pytest.raises(ValueError, match="positive"):
+            ssvi.StarMapParams(np.array([np.nan, 1.0, 1.0]),
                                np.zeros(spec3.p), np.zeros(3))
