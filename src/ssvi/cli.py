@@ -111,7 +111,7 @@ def _pgd_config(cfg, **flags):
 
 
 def _diagnostics(cfg, args):
-    """(grid_sizes, mc_n, params_path); ``--mc-samples`` overrides mc_n."""
+    """(grid_sizes, mc_n, params_path); ``--mc-samples`` wins over mc_n."""
     def build(block):
         _known(block, {"grid_sizes", "mc_n", "params_path"})
         grid_sizes = block.get("grid_sizes", 9)

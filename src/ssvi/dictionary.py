@@ -213,36 +213,8 @@ class DictionarySpec:
         c[self.leaf_index] = gmean[g] * fmean[f]
         return c
 
-    # -- pointwise basis evaluation (reference path; the map evaluator in
+    # -- pointwise basis partials (reference path; the Jacobian sketch in
     #    starmap.py is the vectorized production path) -----------------------
-
-    def _raw_value(self, bid: BasisId, x):
-        x = np.asarray(x, dtype=float)
-        delta, R = self.delta, self.R
-        x1 = x[0]
-        if bid.cls == "M0":
-            return ramp((x1 - bid.b) / delta)
-        xi = x[bid.i]
-        if bid.cls == "M1":
-            gate = bid.bprime <= x1 < bid.bprime + delta
-            return (ramp((xi - bid.b) / delta)
-                    * ramp((x1 - bid.bprime) / delta) * gate)
-        if bid.cls == "M2":
-            gate = bid.bprime <= x1 < bid.bprime + delta
-            return (ramp((xi - bid.b) / delta)
-                    * ramp(1.0 - (x1 - bid.bprime) / delta) * gate)
-        if bid.cls == "M3":
-            return ramp((xi - bid.b) / delta) * (x1 >= R)
-        if bid.cls == "M4":
-            return ramp((xi - bid.b) / delta) * (x1 < -R)
-        if bid.cls == "M5":
-            return ramp((x1 - bid.b) / delta)
-        raise ValueError(bid.cls)
-
-    def basis_eval(self, bid: BasisId, x):
-        """Centered contribution of one basis: (coordinate, value)."""
-        coord = 0 if bid.cls == "M0" else bid.i
-        return coord, self._raw_value(bid, x) - self.centering[self.index_of(bid)]
 
     def basis_partials(self, bid: BasisId, x):
         """Jacobian entries of one basis: (diagonal slot, root slot).

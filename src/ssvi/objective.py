@@ -12,13 +12,12 @@ The free-energy reduction is exact: error-free extraction splits the terms
 into parts whose sums numpy computes without rounding, and math.fsum rounds
 their total once.  It gives the bits of math.fsum over the terms (correctly
 rounded), which makes F̂ bit-equal under any permutation of the sample;
-gradient reductions run in a fixed order (numpy's pairwise sums and in-order
-bincounts).
+gradient reductions run in a fixed order (row by row within each chunk of
+CHUNK samples, then chunk by chunk, and in-order bincounts).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -102,13 +101,12 @@ def _fsum(a):
     and r reaches zero after a few passes; the exact total of their
     partials is the exact sum of the terms, and math.fsum rounds it once.
     Nonfinite or all-zero terms, and terms near the overflow threshold, take
-    the plain path: math.fsum fed one CHUNK at a time (iterating the array
-    itself would box every entry as a numpy scalar).
+    the plain path: math.fsum over the terms as Python floats (iterating the
+    array itself would box every entry as a numpy scalar).
     """
     top = float(np.abs(a).max(initial=0.0))
     if not 0.0 < top < 2.0 ** 960:
-        return math.fsum(itertools.chain.from_iterable(
-            a[s:s + CHUNK].tolist() for s in range(0, a.size, CHUNK)))
+        return math.fsum(a.tolist())
     m = a.size.bit_length() + 1
     r = a.astype(float)
     partials = []
@@ -133,7 +131,8 @@ def free_energy(params, spec, target, sample) -> FreeEnergyReport:
 
 
 def _chunked_mean(arr):
-    """Mean along axis 0 by fixed-size chunked pairwise summation."""
+    """Mean along axis 0: the rows of each CHUNK-row chunk are added in
+    order, then the chunk totals in order."""
     n = arr.shape[0]
     total = np.zeros(arr.shape[1:])
     for start in range(0, n, CHUNK):

@@ -203,9 +203,9 @@ def _project_block(z, Q, W, constrained, active):
             active[primal] = True
             active[dual] = False
         else:
-            # single pivot on the worst infeasibility (finite termination)
-            cand = np.where(primal, theta, np.where(dual, mu, 0.0))
-            k = int(np.argmin(cand))
+            # single pivot on the largest infeasible index: Murty's rule,
+            # which cannot cycle (Júdice & Pires 1994; Kim & Park 2011)
+            k = int(np.flatnonzero(primal | dual)[-1])
             active[k] = not active[k]
     raise OptimizerError("projection active-set did not converge")
 

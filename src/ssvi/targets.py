@@ -61,17 +61,6 @@ class RegularityConstants:
         alpha[0] = 1.0 / np.sqrt(self.L_root)
         return alpha
 
-    def with_overrides(self, overrides: dict | None) -> "RegularityConstants":
-        if not overrides:
-            return self
-        allowed = {"ell", "L", "ell_root", "L_root"}
-        unknown = set(overrides) - allowed
-        if unknown:
-            raise ValueError(f"unknown regularity overrides: {sorted(unknown)}")
-        vals = {k: getattr(self, k) for k in allowed}
-        vals.update(overrides)
-        return RegularityConstants(warnings=self.warnings, **vals)
-
 
 def _check_constants(ell, L, ell_root, L_root):
     warnings = []
@@ -109,7 +98,7 @@ class TargetPotential:
         """Full Hessian, shape ``z.shape + (d,)``."""
         raise NotImplementedError
 
-    def regularity_constants(self, overrides=None) -> RegularityConstants:
+    def regularity_constants(self) -> RegularityConstants:
         raise NotImplementedError
 
     def _check_dim(self, z):
@@ -159,7 +148,7 @@ class GaussianTarget(TargetPotential):
         z = self._check_dim(z)
         return np.broadcast_to(self.precision, z.shape[:-1] + (self.d, self.d))
 
-    def regularity_constants(self, overrides=None):
+    def regularity_constants(self):
         P = self.precision
         leaf = P[1:, 1:]
         eigs = np.linalg.eigvalsh(leaf) if leaf.size else np.array([1.0])
@@ -167,8 +156,7 @@ class GaussianTarget(TargetPotential):
         cross = P[0, 1:]
         ell_root = P[0, 0] - float(cross @ cross) / ell
         L_root = 2.0 * P[0, 0]
-        consts = _check_constants(ell, L, ell_root, L_root)
-        return consts.with_overrides(overrides)
+        return _check_constants(ell, L, ell_root, L_root)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +169,7 @@ class LogPartition:
 
     ``value``, ``deriv`` and ``deriv2`` evaluate ψ, ψ' and ψ'' elementwise.
     ``curv_lower``/``curv_upper`` are global bounds on ψ''; None means
-    unavailable (must be user-supplied or overridden).
+    unknown (a GLM target then takes ``psi_lower`` for the lower bound).
     """
 
     name: str
@@ -252,25 +240,6 @@ class LogisticPrior:
         return 2.0 * s * (1.0 - s) / self.scale ** 2
 
 
-def _constants_from_overrides(family, overrides):
-    """Constants of a GLM whose log-partition curvature bounds are unknown.
-
-    Without both bounds nothing can be derived, so ``overrides`` must supply
-    every one of ell, L, ell_root and L_root.
-    """
-    consts = RegularityConstants(
-        ell=np.nan, L=np.nan, ell_root=np.nan, L_root=np.nan,
-        warnings=("log-partition curvature bounds unavailable; "
-                  "overrides required",))
-    out = consts.with_overrides(overrides)
-    if overrides is None or not np.isfinite(
-            [out.ell, out.L, out.ell_root, out.L_root]).all():
-        raise ValueError(
-            f"constants unavailable for family '{family.name}' "
-            "without overrides")
-    return out
-
-
 class _GlmTarget(TargetPotential):
     """Data term shared by the GLM targets.
 
@@ -332,12 +301,25 @@ class _GlmTarget(TargetPotential):
                 self.X.T * flat[s:s + _HESSIAN_CHUNK, None, :]) @ self.X
         return H.reshape(w.shape[:-1] + (k, k))
 
-    def _psi_bounds(self):
-        """Curvature bounds (b, B) of ψ; either may be None."""
+    def regularity_constants(self):
+        """Constants from the curvature bounds (b, B) of ψ and the extreme
+        eigenvalues of A, through the subclass's ``_constants``."""
         b = self.family.curv_lower
         if b is None:
             b = self.psi_lower
-        return b, self.family.curv_upper
+        B = self.family.curv_upper
+        if b is None or B is None:
+            hint = "give psi_lower or " if B is not None else ""
+            raise ValueError(
+                f"log_partition '{self.family.name}' has no known curvature "
+                f"bound on ψ''; {hint}pass a RegularityConstants as consts")
+        eigs = np.linalg.eigvalsh(self.A)
+        return _check_constants(*self._constants(b, B, eigs.min(), eigs.max()))
+
+    def _constants(self, b, B, a_lo, a_hi):
+        """(ell, L, ell_root, L_root) given b ≤ ψ'' ≤ B and
+        a_lo ≤ eig(A) ≤ a_hi."""
+        raise NotImplementedError
 
 
 # ---------------------------------------------------------------------------
@@ -396,12 +378,7 @@ class GlmLocationTarget(_GlmTarget):
                                       np.eye(self.k)))
         return H
 
-    def regularity_constants(self, overrides=None):
-        b, B = self._psi_bounds()
-        if b is None or B is None:
-            return _constants_from_overrides(self.family, overrides)
-        eigs = np.linalg.eigvalsh(self.A)
-        a_lo, a_hi = eigs.min(), eigs.max()
+    def _constants(self, b, B, a_lo, a_hi):
         r_lo = self.prior.curv_lower
         r_hi = self.prior.curv_upper
         g_lo = self.hyperprior.curv_lower
@@ -411,8 +388,7 @@ class GlmLocationTarget(_GlmTarget):
         L = B * a_hi + r_hi
         ell_root = g_lo + k * r_lo - (k * r_hi ** 2 / ell if ell > 0 else np.inf)
         L_root = 2.0 * (g_hi + k * r_hi)
-        consts = _check_constants(ell, L, ell_root, L_root)
-        return consts.with_overrides(overrides)
+        return ell, L, ell_root, L_root
 
 
 # ---------------------------------------------------------------------------
@@ -538,12 +514,7 @@ class SpikeSlabGlmTarget(_GlmTarget):
         H[..., idx, idx] += xi2
         return H
 
-    def regularity_constants(self, overrides=None):
-        b, B = self._psi_bounds()
-        if b is None or B is None:
-            return _constants_from_overrides(self.family, overrides)
-        eigs = np.linalg.eigvalsh(self.A)
-        a_lo, a_hi = eigs.min(), eigs.max()
+    def _constants(self, b, B, a_lo, a_hi):
         A11 = self.A[0, 0]
         tau2 = self.tau2
         xi_bound = mixture_log_concavity_bound(self.eta, self.tau0, self.tau1)
@@ -558,8 +529,7 @@ class SpikeSlabGlmTarget(_GlmTarget):
         else:
             ell_root = -np.inf
         L_root = 2.0 * (B * A11 + tau2)
-        consts = _check_constants(ell, L, ell_root, L_root)
-        return consts.with_overrides(overrides)
+        return ell, L, ell_root, L_root
 
 
 # ---------------------------------------------------------------------------

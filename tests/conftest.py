@@ -40,3 +40,28 @@ def random_admissible_params(spec, rng, scale=0.2):
     alpha = rng.uniform(0.8, 1.2, spec.d)
     v = rng.normal(0.0, 0.3, spec.d)
     return ssvi.StarMapParams(alpha, lam, v)
+
+
+def basis_values(spec, X):
+    """Centered value of every basis at every row of X, shape (p, n).
+
+    A reference evaluator, one basis at a time, for the map code in
+    ``ssvi.starmap``; each basis lives on coordinate ``spec.coord``.
+    """
+    X = np.asarray(X, dtype=float)
+    x1 = X[:, 0]
+    vals = np.empty((spec.p, len(X)))
+    for idx in range(spec.p):
+        bid = spec.id_of(idx)
+        t = np.clip(((x1 if bid.cls in ("M0", "M5") else X[:, bid.i])
+                     - bid.b) / spec.delta, 0, 1)
+        if bid.cls in ("M1", "M2"):
+            u = (x1 - bid.bprime) / spec.delta
+            gate = (u >= 0) & (u < 1)
+            t = t * (u if bid.cls == "M1" else 1 - u) * gate
+        elif bid.cls == "M3":
+            t = t * (x1 >= spec.R)
+        elif bid.cls == "M4":
+            t = t * (x1 < -spec.R)
+        vals[idx] = t - spec.centering[idx]
+    return vals

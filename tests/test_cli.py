@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import ssvi
 from ssvi.blas import blas_threads, thread_count
 from ssvi.cli import main
 from ssvi.optimizer import OptimizerError
@@ -47,6 +48,24 @@ class TestFit:
         assert summary["iters"] == 25
         assert summary["runtime_ms"] > 0
         assert summary["tool_version"]
+
+    def test_stops_at_tolerance(self, tmp_path):
+        # the first step's gradient norm (0.92 here) already meets tol
+        block = {"step_size": 0.5, "max_iters": 25, "n_samples": 4000,
+                 "tol": 1.0}
+        target = ssvi.GaussianTarget([0.0, 0.0], [[1.0, 0.5], [0.5, 1.0]])
+        spec = ssvi.build_dictionary(2, 2.0, 1.0)
+        res = ssvi.run_pgd(target, spec, ssvi.gram_matrix(spec),
+                           ssvi.PgdConfig(seed=0, **block))
+        assert res.termination == "tolerance"
+        assert res.iterations == 1
+        assert res.free_energy_trace.size == 2
+        cfg = write_config(tmp_path, optimizer=block)
+        out = tmp_path / "out"
+        assert main(["fit", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["termination"] == "tolerance"
+        assert summary["iters"] == 1
 
     def test_trace_nonincreasing(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -145,8 +147,8 @@ class TestApproximationBound:
         assert cert.kl_exact <= cert.rhs + 5 * cert.std_error
 
     def test_unverified_when_root_domination_fails(self, gauss3_target):
-        consts = gauss3_target.regularity_constants(
-            overrides={"ell_root": -1.0})
+        consts = dataclasses.replace(gauss3_target.regularity_constants(),
+                                     ell_root=-1.0)
         cert = ssvi.approximation_bound(
             gauss3_target, consts, mc_n=500, seed=0,
             star=ssvi_gaussian(gauss3_target.mean, gauss3_target.cov))

@@ -7,6 +7,8 @@ import ssvi
 from ssvi.dictionary import (DictionaryDegenerateError, GramMatrix,
                              cell_down_mean, cell_up_mean, ramp_mean)
 
+from conftest import basis_values
+
 
 class TestSizeAndOrdering:
     def test_size_formula_small(self):
@@ -80,9 +82,7 @@ class TestCentering:
         spec = ssvi.build_dictionary(2, 1.0, 1.0)
         rng = np.random.default_rng(0)
         X = rng.standard_normal((500000, 2))
-        for idx in range(spec.p):
-            bid = spec.id_of(idx)
-            vals = np.array([spec.basis_eval(bid, x)[1] for x in X[:50000]])
+        for vals in basis_values(spec, X[:50000]):
             assert abs(vals.mean()) < 5 * vals.std() / np.sqrt(50000) + 1e-4
 
 
@@ -95,24 +95,8 @@ class TestGram:
         # same-coordinate blocks against a brute-force MC inner product
         rng = np.random.default_rng(1)
         X = rng.standard_normal((300000, 2))
-        vals = np.empty((coarse_spec.p, len(X)))
-        coord = np.empty(coarse_spec.p, dtype=int)
-        for idx in range(coarse_spec.p):
-            bid = coarse_spec.id_of(idx)
-            coord[idx] = 0 if bid.cls == "M0" else bid.i
-            t = np.clip(((X[:, 0] if bid.cls in ("M0", "M5")
-                          else X[:, bid.i]) - bid.b) / coarse_spec.delta,
-                        0, 1)
-            if bid.cls in ("M1", "M2"):
-                u = (X[:, 0] - bid.bprime) / coarse_spec.delta
-                gate = (u >= 0) & (u < 1)
-                t = t * np.where(bid.cls == "M1", np.clip(u, 0, 1),
-                                 1 - np.clip(u, 0, 1)) * gate
-            elif bid.cls == "M3":
-                t = t * (X[:, 0] >= coarse_spec.R)
-            elif bid.cls == "M4":
-                t = t * (X[:, 0] < -coarse_spec.R)
-            vals[idx] = t - coarse_spec.centering[idx]
+        vals = basis_values(coarse_spec, X)
+        coord = coarse_spec.coord
         Qmc = vals @ vals.T / len(X)
         same = coord[:, None] == coord[None, :]
         assert np.abs((Qmc - coarse_gram.Q)[same]).max() < 5e-3

@@ -80,6 +80,36 @@ class TestProjection:
         with pytest.raises(OptimizerError, match="KKT residual"):
             project_cone_q(z, gram, cons, warm_active=np.arange(3))
 
+    # Trials 55371 and 58692 of 100 000 random problems with every index
+    # constrained: m = rng.integers(2, 7), A = N(0, 1)^{m×m} with columns
+    # scaled by 10^U(−2, 2), Q = AAᵀ + 10⁻³I, z = N(0, 1)·10^U(−1, 1), all
+    # from default_rng(1).  Block pivoting cycles on both, so the single
+    # pivot fallback decides; pivoting it on the most violated index cycled
+    # on the first until the sweep limit.
+    @pytest.mark.parametrize("Q, z", [
+        ([[0.686335308162436, -1.3243714427297795, -0.10671239109425834,
+           -2.759461974967362],
+          [-1.3243714427297795, 33.72360037379157, -3.7521387399992716,
+           14.478387711739886],
+          [-0.10671239109425834, -3.7521387399992716, 0.5438818458609846,
+           -0.6591458465499689],
+          [-2.759461974967362, 14.478387711739886, -0.6591458465499689,
+           14.02246529188493]],
+         [-0.29043597790814013, 0.33331379578621945, 0.8021387935671218,
+          -0.19718972995345752]),
+        ([[0.01941598597507091, 0.05630427752311821, -0.00948106302677829],
+          [0.05630427752311821, 0.21787808045657478, -0.05880065894245593],
+          [-0.00948106302677829, -0.05880065894245593,
+           0.027910619233207777]],
+         [4.720091575562742, -1.7092472665739449, -0.24633675437925218]),
+    ], ids=["trial-55371", "trial-58692"])
+    def test_single_pivot_fallback_terminates(self, Q, z):
+        Q, z = np.array(Q), np.array(z)
+        cons = np.ones(z.size, dtype=bool)
+        got, _ = project_cone_q(z, FakeGram(Q), cons)
+        assert np.allclose(got, bvls_projection(Q, z, cons), rtol=0,
+                           atol=1e-10)
+
 
 class TestBlockProjection:
     """project_cone_q on a real Gram with a root and three leaf blocks."""

@@ -7,7 +7,7 @@ from scipy.stats import norm
 import ssvi
 from ssvi.starmap import _invert_1d, _map_1d, jacobian, leaf_profile
 
-from conftest import random_admissible_params
+from conftest import basis_values, random_admissible_params
 
 
 @pytest.fixture(scope="module")
@@ -30,12 +30,11 @@ class TestForward:
         rng = np.random.default_rng(1)
         X = rng.normal(0.0, 1.5, size=(100, 3))
         Z = ssvi.map_eval(rand_params, spec3, X)
-        for n in range(len(X)):
-            ref = rand_params.alpha * X[n] + rand_params.v
-            for idx in range(spec3.p):
-                c, val = spec3.basis_eval(spec3.id_of(idx), X[n])
-                ref[c] += rand_params.lam[idx] * val
-            assert np.allclose(Z[n], ref, atol=1e-12)
+        ref = rand_params.alpha * X + rand_params.v
+        contrib = rand_params.lam[:, None] * basis_values(spec3, X)
+        for c in range(spec3.d):
+            ref[:, c] += contrib[spec3.coord == c].sum(axis=0)
+        assert np.allclose(Z, ref, atol=1e-12)
 
     def test_single_point_shape(self, spec3, rand_params):
         z = ssvi.map_eval(rand_params, spec3, np.zeros(3))

@@ -124,12 +124,6 @@ class TestGaussianTarget:
         assert np.isclose(alpha[0], 1.0 / np.sqrt(c.L_root))
         assert np.allclose(alpha[1:], 1.0 / np.sqrt(c.L))
 
-    def test_overrides(self, gauss3_target):
-        c = gauss3_target.regularity_constants(overrides={"L": 9.0})
-        assert c.L == 9.0
-        with pytest.raises(ValueError, match="unknown regularity overrides"):
-            gauss3_target.regularity_constants(overrides={"bogus": 1.0})
-
 
 @pytest.fixture(scope="module")
 def glm_target():
@@ -179,7 +173,9 @@ class TestGlmLocationTarget:
         X = rng.normal(size=(30, 2))
         y = (rng.uniform(size=30) < 0.5).astype(float)
         t = ssvi.GlmLocationTarget(X, y, family="logistic")
-        with pytest.raises(ValueError, match="overrides"):
+        with pytest.raises(ValueError, match="^log_partition 'logistic' .*"
+                           "give psi_lower or pass a RegularityConstants "
+                           "as consts$"):
             t.regularity_constants()
         t2 = ssvi.GlmLocationTarget(X, y, family="logistic", psi_lower=0.05)
         c = t2.regularity_constants()
@@ -190,11 +186,19 @@ class TestGlmLocationTarget:
         X = rng.normal(size=(30, 2)) * 0.1
         y = rng.poisson(1.0, 30).astype(float)
         t = ssvi.GlmLocationTarget(X, y, family="poisson")
-        with pytest.raises(ValueError, match="overrides"):
+        with pytest.raises(ValueError, match="^log_partition 'poisson' .*; "
+                           "pass a RegularityConstants as consts$"):
             t.regularity_constants()
-        c = t.regularity_constants(overrides={
-            "ell": 0.5, "L": 2.0, "ell_root": 0.5, "L_root": 4.0})
-        assert c.warnings
+        # constants the family cannot derive reach a fit as consts
+        consts = ssvi.RegularityConstants(0.5, 2.0, 0.5, 4.0)
+        spec = ssvi.build_dictionary(t.d, 2.0, 1.0)
+        res = ssvi.run_pgd(t, spec, ssvi.gram_matrix(spec),
+                           ssvi.PgdConfig(step_size=0.1, max_iters=3,
+                                          n_samples=500, seed=0),
+                           consts=consts)
+        assert np.array_equal(res.params.alpha, consts.spike(t.d))
+        assert res.iterations == 3
+        assert np.isfinite(res.free_energy_trace).all()
 
     def test_logistic_uses_stable_log_partition(self):
         psi = LOG_PARTITIONS["logistic"]
