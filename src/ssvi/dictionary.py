@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from numbers import Integral, Real
 
 import numpy as np
@@ -319,8 +320,7 @@ class GramMatrix:
     Q is block-diagonal by coordinate: the N×N root block ``Q_root`` on the
     M0 coefficients, then d−1 identical leaf blocks ``Q_leaf``, one on each
     row of ``spec.leaf_index``.  Only the two distinct blocks and their
-    Cholesky factors are stored, so memory does not grow with d.  The dense
-    p×p ``Q`` is built on first access, for inspection only.
+    Cholesky factors are stored, so memory does not grow with d.
     """
 
     def __init__(self, spec: DictionarySpec, Q_root: np.ndarray,
@@ -329,14 +329,14 @@ class GramMatrix:
         self.Q_root = Q_root
         self.Q_leaf = Q_leaf
         try:
-            self._cho_root = cho_factor(Q_root, lower=True)
-            self._cho_leaf = cho_factor(Q_leaf, lower=True)
+            self._cho = {"root": cho_factor(Q_root, lower=True),
+                         "leaf": cho_factor(Q_leaf, lower=True)}
         except np.linalg.LinAlgError as exc:
             raise DictionaryDegenerateError(
                 "Gram matrix not positive definite") from exc
-        self._inv = None
+        self._inv = {}
         self._inv_norm = None
-        self._Q = None
+        self._last_factor = [{} for _ in range(spec.d)]  # see ``blocks``
 
     def _by_block(self, x, root_op, leaf_op):
         """Apply ``root_op`` to x's root slice and ``leaf_op`` to its leaf
@@ -350,8 +350,8 @@ class GramMatrix:
 
     def solve(self, x):
         """Q⁻¹ x via the cached block Cholesky factors."""
-        return self._by_block(x, lambda b: cho_solve(self._cho_root, b),
-                              lambda b: cho_solve(self._cho_leaf, b))
+        return self._by_block(x, lambda b: cho_solve(self._cho["root"], b),
+                              lambda b: cho_solve(self._cho["leaf"], b))
 
     def matvec(self, x):
         """Q x, one product per block."""
@@ -359,52 +359,38 @@ class GramMatrix:
                               lambda b: self.Q_leaf @ b)
 
     def blocks(self):
-        """(indices, Q block, Q⁻¹ block) of the root, then of each leaf."""
-        W_root, W_leaf = self.inverse
-        yield np.arange(self.spec.N), self.Q_root, W_root
-        for idx in self.spec.leaf_index:
-            yield idx, self.Q_leaf, W_leaf
+        """(indices, Q block, Q⁻¹ fetcher, factor slot) of the root, then of
+        each leaf.  The fetcher builds Q⁻¹ only when called.  The slot is a
+        dict in which the cone projection keeps the block position's last
+        working set and Cholesky factor, valid from fit to fit as Q is."""
+        root, *leaves = self._last_factor
+        yield (np.arange(self.spec.N), self.Q_root,
+               partial(self.inverse, "root"), root)
+        for idx, slot in zip(self.spec.leaf_index, leaves):
+            yield idx, self.Q_leaf, partial(self.inverse, "leaf"), slot
 
-    @property
-    def inverse(self):
-        """(Q_root⁻¹, Q_leaf⁻¹), computed once; used by the cone projection
-        when the active side of a working set is the smaller."""
-        if self._inv is None:
-            self._inv = tuple(_symmetric_inverse(cho)
-                              for cho in (self._cho_root, self._cho_leaf))
-        return self._inv
+    def inverse(self, block):
+        """Q⁻¹ of the ``"root"`` or the ``"leaf"`` block, built on first use;
+        the cone projection reads it only in a sweep whose active side is
+        the smaller.  LAPACK potri fills the lower triangle (it reads only
+        the cached factor's), which is mirrored upwards."""
+        if block not in self._inv:
+            inv, info = lapack.dpotri(self._cho[block][0], lower=1)
+            if info != 0:
+                raise np.linalg.LinAlgError(f"potri failed (info={info})")
+            W = np.tril(inv)
+            del inv  # at most two m×m arrays alive at once
+            W += np.tril(W, -1).T
+            self._inv[block] = W
+        return self._inv[block]
 
     @property
     def inv_norm(self):
         """‖Q⁻¹‖₂: the larger of the two blocks' power iterations."""
         if self._inv_norm is None:
-            self._inv_norm = max(_power_inv_norm(self._cho_root),
-                                 _power_inv_norm(self._cho_leaf))
+            self._inv_norm = max(_power_inv_norm(self._cho["root"]),
+                                 _power_inv_norm(self._cho["leaf"]))
         return self._inv_norm
-
-    @property
-    def Q(self):
-        """Dense p×p Q, assembled from the blocks on first access."""
-        if self._Q is None:
-            N = self.spec.N
-            Q = np.zeros((self.spec.p, self.spec.p))
-            Q[:N, :N] = self.Q_root
-            for idx in self.spec.leaf_index:
-                Q[np.ix_(idx, idx)] = self.Q_leaf
-            self._Q = Q
-        return self._Q
-
-
-def _symmetric_inverse(cho):
-    """A⁻¹ from a lower Cholesky factor of A: LAPACK potri fills the lower
-    triangle (it reads only the factor's), which is mirrored upwards."""
-    inv, info = lapack.dpotri(cho[0], lower=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"potri failed (info={info})")
-    W = np.tril(inv)
-    del inv  # at most two m×m arrays alive at once
-    W += np.tril(W, -1).T
-    return W
 
 
 def _power_inv_norm(cho):

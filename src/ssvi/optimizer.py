@@ -12,7 +12,10 @@ with default step size h = 1/(L + Υ), L = L_V ∨ (L'_V/2) and
 Q is block-diagonal by coordinate (one root block, d−1 identical leaf
 blocks) and the cone is a product of per-coordinate cones, so the solve
 Q⁻¹∇, the Θ-norm and the projection all run one block at a time; no dense
-p×p array is formed.
+p×p array is formed.  Every projection in a fit is warm-started, the first
+from the initial iterate's zero set; each block reuses its last Cholesky
+factor when a sweep repeats its working set, and builds its Q⁻¹ only if a
+sweep needs it.
 
 A fit alternates numpy's matrix products (Q z, Q(θ − z), W_{:,A} y and the
 targets' batched products) with scipy's Cholesky factors and solves, which
@@ -131,10 +134,10 @@ def project_cone_q(z, gram, constrained, warm_active=None):
 
     theta = np.empty_like(z)
     kkt = []  # (r, s) of each block
-    for idx, Q, W in gram.blocks():
+    for idx, Q, inverse, last in gram.blocks():
         block_active = active[idx]
-        theta[idx], r, s = _project_block(z[idx], Q, W, constrained[idx],
-                                          block_active)
+        theta[idx], r, s = _project_block(z[idx], Q, inverse, last,
+                                          constrained[idx], block_active)
         active[idx] = block_active
         kkt.append((r, s))
 
@@ -145,7 +148,7 @@ def project_cone_q(z, gram, constrained, warm_active=None):
     return theta, np.flatnonzero(active)
 
 
-def _project_block(z, Q, W, constrained, active):
+def _project_block(z, Q, inverse, last, constrained, active):
     """Projection onto one block's cone; ``active`` is updated in place.
 
     Returns (θ, r, s): r = max |μ| off the working set for the final
@@ -154,8 +157,11 @@ def _project_block(z, Q, W, constrained, active):
     Primal active-set method.  Each equality-constrained subproblem (θ_A = 0)
     is solved on the smaller side of the working set: through a Cholesky
     factor of Q_FF when the free set F is smaller, else through one of
-    W_AA, with W = Q⁻¹ the block's inverse.  A sweep on a block of size m
-    costs O(min(|A|,|F|)³ + m·min(|A|,|F|) + m²).
+    W_AA, with W = ``inverse()`` the block's Q⁻¹, fetched only then.  A
+    sweep that repeats the working set of the last solve, kept in ``last``
+    with its factor, reuses the factor: a warm start's first sweep often
+    does.  A sweep on a block of size m costs O(min(|A|,|F|)³ +
+    m·min(|A|,|F|) + m²), without the cube on a reuse.
     """
     m = z.size
     Qz = Q @ z
@@ -167,16 +173,28 @@ def _project_block(z, Q, W, constrained, active):
         if A.size == 0:
             return z.copy()
         F = np.flatnonzero(~active_mask)
-        try:
-            if F.size < A.size:
-                out = np.zeros(m)
-                if F.size:
-                    out[F] = _spd_solve(Q[np.ix_(F, F)], Qz[F])
-                return out
-            y = _spd_solve(W[np.ix_(A, A)], z[A])
-        except np.linalg.LinAlgError as exc:
-            raise OptimizerError("projection subproblem singular") from exc
-        out = z - W[:, A] @ y
+        if F.size == 0:
+            return np.zeros(m)
+        free_side = F.size < A.size
+        W = None if free_side else inverse()
+        # out of the slot while in use, so concurrent projections never mix
+        mask, cho = last.pop("factor", (None, None))  # (working set, factor)
+        if not np.array_equal(mask, active_mask):
+            mask = cho = None  # at most one factor per block alive at once
+            S = F if free_side else A
+            M = (Q if free_side else W)[np.ix_(S, S)]  # a copy: overwritable
+            try:
+                cho = cho_factor(M, lower=True, overwrite_a=True,
+                                 check_finite=False)
+            except np.linalg.LinAlgError as exc:
+                raise OptimizerError("projection subproblem singular") from exc
+            mask = active_mask.copy()
+        last["factor"] = mask, cho
+        if free_side:
+            out = np.zeros(m)
+            out[F] = cho_solve(cho, Qz[F], check_finite=False)
+            return out
+        out = z - W[:, A] @ cho_solve(cho, z[A], check_finite=False)
         out[A] = 0.0
         return out
 
@@ -208,12 +226,6 @@ def _project_block(z, Q, W, constrained, active):
             k = int(np.flatnonzero(primal | dual)[-1])
             active[k] = not active[k]
     raise OptimizerError("projection active-set did not converge")
-
-
-def _spd_solve(M, b):
-    """M⁻¹b by Cholesky for a gathered (so overwritable) SPD matrix M."""
-    cho = cho_factor(M, lower=True, overwrite_a=True, check_finite=False)
-    return cho_solve(cho, b, check_finite=False)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +298,7 @@ def _run_pgd(target, spec, gram, config, consts, init, sample):
     fvals = [fe.value]
     gnorms = []
     halvings = []
-    active = None
+    active = np.flatnonzero(spec.constrained & (init.lam == 0))
     termination = "max-iter"
     iters = 0
 
@@ -299,9 +311,10 @@ def _run_pgd(target, spec, gram, config, consts, init, sample):
         # step (capped at h), also right after an iteration that halved, and
         # halves until F̂ does not rise.  The default 1/(L+Υ) descends when
         # the regularity constants hold, so it is never halved then.
-        # The first trial's projection starts from the iterate's active set,
-        # each halving's from the set of the trial it rejected: the halved
-        # point lies between the two, far nearer the rejected trial.
+        # The first trial's projection starts from the iterate's active set
+        # (its constrained zeros, for the initial one), each halving's from
+        # the set of the trial it rejected: the halved point lies between
+        # the two, far nearer the rejected trial.
         step = min(h, 2.0 * cur_step)
         warm = active
         for n_halved in range(MAX_HALVINGS + 1):

@@ -65,3 +65,14 @@ def basis_values(spec, X):
             t = t * (x1 < -spec.R)
         vals[idx] = t - spec.centering[idx]
     return vals
+
+
+def dense_gram(gram):
+    """The dense p×p Q of a ``GramMatrix``, assembled from its two blocks:
+    the reference its block-wise operations are checked against."""
+    spec = gram.spec
+    Q = np.zeros((spec.p, spec.p))
+    Q[:spec.N, :spec.N] = gram.Q_root
+    for idx in spec.leaf_index:
+        Q[np.ix_(idx, idx)] = gram.Q_leaf
+    return Q

@@ -7,10 +7,13 @@ from scipy.optimize import lsq_linear
 import ssvi
 from ssvi import objective, optimizer
 from ssvi.blas import blas_threads, thread_count
+from ssvi.dictionary import GramMatrix
 from ssvi.objective import TargetOverflowError
 from ssvi.optimizer import (MAX_HALVINGS, OptimizerError, PgdConfig,
                             compute_upsilon, map_point, project_cone_q,
                             run_pgd)
+
+from conftest import dense_gram
 
 
 class FakeGram:
@@ -18,9 +21,11 @@ class FakeGram:
 
     def __init__(self, Q):
         self.Q = np.asarray(Q, dtype=float)
+        self.last_factor = {}
 
     def blocks(self):
-        yield np.arange(len(self.Q)), self.Q, np.linalg.inv(self.Q)
+        yield (np.arange(len(self.Q)), self.Q,
+               lambda: np.linalg.inv(self.Q), self.last_factor)
 
 
 def bvls_projection(Q, z, constrained):
@@ -45,6 +50,8 @@ class TestProjection:
         assert np.allclose(got, [0.0, -2.0, 3.0])
 
     def test_matches_bvls_oracle(self):
+        # also from run_pgd's first warm start, every constrained index,
+        # which ends on the cold start's working set and so on its bytes
         rng = np.random.default_rng(0)
         for trial in range(20):
             p = 12
@@ -53,9 +60,14 @@ class TestProjection:
             gram = FakeGram(Q)
             z = rng.normal(size=p) * 2.0
             constrained = rng.uniform(size=p) < 0.7
-            got, _ = project_cone_q(z, gram, constrained)
+            got, got_set = project_cone_q(z, gram, constrained)
             ref = bvls_projection(Q, z, constrained)
             assert np.allclose(got, ref, atol=1e-8)
+            warm, warm_set = project_cone_q(
+                z, FakeGram(Q), constrained,
+                warm_active=np.flatnonzero(constrained))
+            assert np.array_equal(warm_set, got_set)
+            assert warm.tobytes() == got.tobytes()
 
     def test_warm_start_same_answer(self):
         rng = np.random.default_rng(1)
@@ -121,7 +133,7 @@ class TestBlockProjection:
         z = rng.normal(size=spec.p)
         active = None
         for _ in range(4):
-            ref = bvls_projection(d4_gram.Q, z, cons)
+            ref = bvls_projection(dense_gram(d4_gram), z, cons)
             cold, cold_active = project_cone_q(z, d4_gram, cons)
             assert np.allclose(cold, ref, atol=1e-8)
             # the active set is in global indices and touches every block
@@ -144,7 +156,7 @@ class TestBlockProjection:
         cons = spec.constrained
         rng = np.random.default_rng(11)
         z = rng.normal(size=spec.p) + shift
-        ref = bvls_projection(d4_gram.Q, z, cons)
+        ref = bvls_projection(dense_gram(d4_gram), z, cons)
         cold, active = project_cone_q(z, d4_gram, cons)
         assert np.allclose(cold, ref, atol=1e-8)
         for idx in spec.leaf_index:
@@ -180,8 +192,8 @@ class TestBlockProjection:
         theta, active = project_cone_q(z, d4_gram, cons, warm_active=root)
         assert np.array_equal(theta[root], np.zeros(spec.N))
         assert np.isin(root, active).all()
-        assert np.allclose(theta, bvls_projection(d4_gram.Q, z, cons),
-                           atol=1e-8)
+        ref = bvls_projection(dense_gram(d4_gram), z, cons)
+        assert np.allclose(theta, ref, atol=1e-8)
 
     def test_active_set_is_a_sorted_index_array(self, d4_gram):
         spec = d4_gram.spec
@@ -198,7 +210,7 @@ class TestBlockProjection:
         # warm starts from it (also with unconstrained indices mixed in,
         # which are ignored) reach the oracle at a nearby point
         z2 = z + 0.3 * rng.normal(size=spec.p)
-        ref = bvls_projection(d4_gram.Q, z2, cons)
+        ref = bvls_projection(dense_gram(d4_gram), z2, cons)
         for warm_active in (active,
                             np.union1d(active, np.flatnonzero(~cons))):
             warm, warm_set = project_cone_q(z2, d4_gram, cons,
@@ -206,6 +218,31 @@ class TestBlockProjection:
             assert np.allclose(warm, ref, atol=1e-8)
             assert np.array_equal(warm_set,
                                   np.flatnonzero(cons & (warm == 0.0)))
+
+
+    def test_same_working_set_reuses_the_factor(self, d4_gram,
+                                                monkeypatch):
+        spec = d4_gram.spec
+        cons = spec.constrained
+        z = np.random.default_rng(14).normal(size=spec.p)
+        factor = optimizer.cho_factor
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return factor(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "cho_factor", counted)
+        gram = ssvi.gram_matrix(spec)
+        first, active = project_cone_q(z, gram, cons)
+        n_first = len(calls)
+        assert n_first > 0
+        second, again = project_cone_q(z, gram, cons, warm_active=active)
+        assert len(calls) == n_first
+        assert np.array_equal(again, active)
+        fresh, _ = project_cone_q(z, ssvi.gram_matrix(spec), cons,
+                                  warm_active=active)
+        assert first.tobytes() == second.tobytes() == fresh.tobytes()
 
 
 class TestUpsilon:
@@ -396,13 +433,15 @@ class TestRunPgd:
         for n_halved in warm.halving_trace:
             trials = calls[:n_halved + 1]
             del calls[:n_halved + 1]
-            # the first trial starts from the iterate's set, each halving
-            # from the set the trial it rejected returned
+            # the first trial starts from the iterate's set (the initial
+            # iterate's zero set at first), each halving from the set the
+            # trial it rejected returned
             first = trials[0][0]
             if accepted is None:
-                assert first is None
+                assert np.array_equal(first, np.flatnonzero(spec.constrained))
             else:
                 assert np.array_equal(first, accepted)
+            assert first.dtype == np.intp
             for (_, rejected), (warm_active, _) in zip(trials, trials[1:]):
                 assert np.array_equal(warm_active, rejected)
                 assert warm_active.dtype == np.intp
@@ -417,6 +456,25 @@ class TestRunPgd:
         assert np.array_equal(warm.halving_trace, ref.halving_trace)
         assert np.allclose(warm.free_energy_trace, ref.free_energy_trace,
                            rtol=1e-9, atol=0.0)
+
+    def test_free_side_leaves_never_build_their_inverse(
+            self, gauss2_target, monkeypatch):
+        # the fine-d2 benchmark config (criterion 1's grid), one iteration:
+        # every leaf sweep takes the Q_FF side, and some root sweep the W one
+        spec = ssvi.build_dictionary(2, 4.0, 0.25)
+        gram = ssvi.gram_matrix(spec)
+        inverse = GramMatrix.inverse
+        fetched = []
+
+        def spy(self, block):
+            fetched.append(block)
+            return inverse(self, block)
+
+        monkeypatch.setattr(GramMatrix, "inverse", spy)
+        cfg = PgdConfig(step_size=0.5, max_iters=1, n_samples=20000, seed=0)
+        run_pgd(gauss2_target, spec, gram, cfg)
+        assert "root" in fetched
+        assert "leaf" not in fetched
 
     def test_one_forward_pass_per_evaluated_point(self, gauss2_target,
                                                   monkeypatch):
@@ -490,13 +548,9 @@ class TestBlasThreads:
         assert set(target.seen) == {(1, 2)}
 
 
-def test_fit_allocates_no_dense_gram(monkeypatch):
+def test_fit_allocates_no_dense_gram():
     # wide-d10 geometry (nine leaf blocks, p=2928) at a small sample: the
     # Gram build plus one PGD iteration stay below one dense p x p array
-    def dense_q(self):
-        raise AssertionError("the fit built the dense Q")
-
-    monkeypatch.setattr(ssvi.GramMatrix, "Q", property(dense_q))
     d = 10
     target = ssvi.GaussianTarget(np.zeros(d),
                                  np.full((d, d), 0.3) + 0.7 * np.eye(d))
