@@ -6,11 +6,15 @@ and solves).  Each copy keeps its own pool of worker threads, and a pool's
 workers spin for a while after each call, so a loop that alternates between
 the two libraries has the pools compete for the same cores.
 
-``blas_threads`` sets either pool's thread count for the duration of a
-``with`` block and restores it on exit.  The entry points are found in each
-library's own extension module the first time they are needed; nothing is
-resolved at import, and no environment variable is read.  When a copy does
-not export them, setting its count does nothing, with one warning.
+``one_thread`` runs both pools at one thread for the duration of a ``with``
+block and restores their counts on exit.  Every entry point of ``ssvi`` that
+does BLAS work (``gram_matrix``, ``run_pgd`` and each CLI command) runs under
+it: a multi-threaded product or factor may reduce in another order, and the
+outputs would then depend on the launch thread count.  The entry points are
+found in each library's own extension module the first time they are
+needed; nothing is resolved at import, and no environment variable is read.
+When a copy does not export them, its count is left as it is, with one
+warning.
 """
 
 from __future__ import annotations
@@ -60,21 +64,17 @@ def thread_count(pool):
 
 
 @contextmanager
-def blas_threads(numpy=None, scipy=None):
-    """Run the block with numpy's and/or scipy's pool at the given thread
-    counts; a pool given None keeps its count.  Both are restored on exit,
-    also when the block raises."""
-    for n in (numpy, scipy):
-        if n is not None and not n >= 1:
-            raise ValueError(f"thread count must be at least 1, got {n!r}")
+def one_thread():
+    """Run the block with both pools at one thread; their counts are
+    restored on exit, also when the block raises."""
     restore = []
     try:
-        for pool, n in (("numpy", numpy), ("scipy", scipy)):
-            entry = None if n is None else _entry_points(pool)
+        for pool in _POOLS:
+            entry = _entry_points(pool)
             if entry is not None:
                 getter, setter = entry
                 restore.append((setter, getter()))
-                setter(int(n))
+                setter(1)
         yield
     finally:
         for setter, old in reversed(restore):

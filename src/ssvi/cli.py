@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .blas import blas_threads
+from .blas import one_thread
 from .dictionary import (ORDERING_VERSION, FieldTypeError, build_dictionary,
                          gram_matrix)
 from .diagnostics import (DiagnosticsError, approximation_bound,
@@ -306,9 +306,9 @@ def _parser():
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        # one thread per pool: a multi-threaded Gram build or solve may
-        # reduce in another order and change the outputs' last bits
-        with blas_threads(numpy=1, scipy=1):
+        # gram_matrix and run_pgd pin themselves; this pin also covers the
+        # diagnostics' own products and solves
+        with one_thread():
             cfg = _load_config(args)
             return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:

@@ -34,6 +34,8 @@ from scipy.linalg import cho_factor, cho_solve, lapack
 from scipy.special import ndtr
 from scipy.stats import norm
 
+from .blas import one_thread
+
 ORDERING_VERSION = "class-major-v1"
 CLASSES = ("M0", "M1", "M2", "M3", "M4", "M5")
 
@@ -424,6 +426,8 @@ def _compute_gram(spec: DictionarySpec):
     return 0.5 * (Q_root + Q_root.T), 0.5 * (Q_leaf + Q_leaf.T)
 
 
+@one_thread()
 def gram_matrix(spec: DictionarySpec) -> GramMatrix:
-    """Build the two Gram blocks of ``spec`` and their Cholesky factors."""
+    """Build the two Gram blocks of ``spec`` and their Cholesky factors,
+    with both BLAS pools at one thread (restored on exit)."""
     return GramMatrix(spec, *_compute_gram(spec))

@@ -17,12 +17,11 @@ from the initial iterate's zero set; each block reuses its last Cholesky
 factor when a sweep repeats its working set, and builds its Q⁻¹ only if a
 sweep needs it.
 
-A fit alternates numpy's matrix products (Q z, Q(θ − z), W_{:,A} y and the
-targets' batched products) with scipy's Cholesky factors and solves, which
-run on a second OpenBLAS copy with its own thread pool.  ``run_pgd`` runs
-numpy's pool at one thread, so its spinning workers do not take the cores
-from scipy's pool; numpy's products split output rows, never a sum, across
-threads, so the bits do not change.  scipy's pool keeps its thread count.
+A fit alternates numpy's matrix products with scipy's Cholesky factors and
+solves, which run on a second OpenBLAS copy with its own thread pool.
+``run_pgd`` runs both pools at one thread (``ssvi.blas.one_thread``), so
+neither pool's spinning workers take the cores from the other, and a fit's
+bits do not depend on the launch thread count.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from numbers import Integral
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .blas import blas_threads
+from .blas import one_thread
 from .dictionary import check_number
 from .objective import SaaSample, TargetOverflowError, free_energy, gradient
 from .starmap import ConeViolationError, StarMapParams
@@ -62,8 +61,12 @@ class PgdConfig:
         check_number("tol", self.tol)
         for name in ("max_iters", "seed", "n_samples"):
             check_number(name, getattr(self, name), Integral)
-        if self.step_size is not None and not self.step_size > 0:
-            raise ValueError("step_size must be positive")
+        if self.step_size is not None and not 0 < self.step_size < math.inf:
+            raise ValueError("step_size must be positive and finite")
+        if not 0 <= self.tol < math.inf:
+            raise ValueError("tol must be nonnegative and finite")
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be nonnegative")
         if not self.n_samples >= 1:
             raise ValueError("n_samples must be positive")
         if self.seed < 0:
@@ -262,16 +265,12 @@ def map_point(target, x0=None, iters=20):
 # PGD driver
 # ---------------------------------------------------------------------------
 
+@one_thread()
 def run_pgd(target, spec, gram, config: PgdConfig, consts=None,
             init: StarMapParams | None = None, sample: SaaSample | None = None
             ) -> FitResult:
-    """Fit by PGD with numpy's BLAS pool at one thread (restored on exit,
+    """Fit by PGD with both BLAS pools at one thread (restored on exit,
     also when the fit raises)."""
-    with blas_threads(numpy=1):
-        return _run_pgd(target, spec, gram, config, consts, init, sample)
-
-
-def _run_pgd(target, spec, gram, config, consts, init, sample):
     if consts is None:
         consts = target.regularity_constants()
     L = max(consts.L, consts.L_root / 2.0)

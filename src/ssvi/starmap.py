@@ -108,14 +108,6 @@ class _ForwardState:
     diag: np.ndarray
     grid: SampleGrid
 
-    @property
-    def k1(self):
-        return self.grid.k1
-
-    @property
-    def f1(self):
-        return self.grid.f1
-
 
 def _bucket(spec, x):
     """Cell index and fractional position of x on the grid (clipped)."""

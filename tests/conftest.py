@@ -1,7 +1,10 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
 import ssvi
+from ssvi import blas
 
 
 @pytest.fixture(scope="session")
@@ -76,3 +79,19 @@ def dense_gram(gram):
     for idx in spec.leaf_index:
         Q[np.ix_(idx, idx)] = gram.Q_leaf
     return Q
+
+
+@contextmanager
+def two_threads():
+    """Run the block with both OpenBLAS pools at two threads, restoring
+    their counts on exit.  Launched pools may already run one thread, so a
+    pin to one and its restore show only from a start at two."""
+    entries = [blas._entry_points(pool) for pool in blas._POOLS]
+    old = [get() for get, _ in entries]
+    for _, set_ in entries:
+        set_(2)
+    try:
+        yield
+    finally:
+        for (_, set_), n in zip(entries, old):
+            set_(n)

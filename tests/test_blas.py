@@ -7,80 +7,59 @@ import warnings
 import pytest
 
 from ssvi import blas
-from ssvi.blas import blas_threads, thread_count
+from ssvi.blas import one_thread, thread_count
+
+from conftest import two_threads
 
 POOLS = ["numpy", "scipy"]
 
 
-def other_count(n):
-    """A thread count different from n."""
-    return 2 if n == 1 else 1
-
-
 @pytest.mark.parametrize("pool", POOLS)
 def test_sets_the_count_inside_and_restores_it_after(pool):
-    old = thread_count(pool)
-    assert old is not None and old >= 1
-    pinned = other_count(old)
-    with blas_threads(**{pool: pinned}):
-        assert thread_count(pool) == pinned
-    assert thread_count(pool) == old
+    with two_threads():
+        with one_thread():
+            assert thread_count(pool) == 1
+        assert thread_count(pool) == 2
 
 
 @pytest.mark.parametrize("pool", POOLS)
 def test_restores_the_count_when_the_block_raises(pool):
-    old = thread_count(pool)
-    with pytest.raises(KeyError):
-        with blas_threads(**{pool: other_count(old)}):
-            raise KeyError("inside")
-    assert thread_count(pool) == old
-
-
-def test_a_pool_given_none_keeps_its_count():
-    old = thread_count("scipy")
-    with blas_threads(numpy=other_count(thread_count("numpy"))):
-        assert thread_count("scipy") == old
+    with two_threads():
+        with pytest.raises(KeyError):
+            with one_thread():
+                raise KeyError("inside")
+        assert thread_count(pool) == 2
 
 
 def test_nested_blocks_restore_in_order():
-    old = thread_count("numpy")
-    with blas_threads(numpy=2):
-        with blas_threads(numpy=1):
+    # the inner block restores the outer block's count, not the launch one
+    with two_threads():
+        with one_thread():
+            with one_thread():
+                assert thread_count("numpy") == 1
             assert thread_count("numpy") == 1
         assert thread_count("numpy") == 2
-    assert thread_count("numpy") == old
-
-
-@pytest.mark.parametrize("n", [0, -1])
-def test_rejects_a_count_below_one(n):
-    old = thread_count("numpy")
-    with pytest.raises(ValueError, match="at least 1"):
-        with blas_threads(numpy=n):
-            pass
-    assert thread_count("numpy") == old
 
 
 def test_missing_symbol_is_a_no_op_that_warns_once(monkeypatch):
-    numpy_old, scipy_old = thread_count("numpy"), thread_count("scipy")
     read_numpy = blas._entry_points("numpy")[0]
-    module, _, setter = blas._POOLS["numpy"]
-    monkeypatch.setitem(blas._POOLS, "numpy",
-                        (module, "no_such_blas_symbol", setter))
-    monkeypatch.setattr(blas, "_resolved", {})
-    scipy_pinned = other_count(scipy_old)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        for _ in range(3):
-            with blas_threads(numpy=other_count(numpy_old),
-                              scipy=scipy_pinned):
-                assert read_numpy() == numpy_old
-                assert thread_count("scipy") == scipy_pinned
-        assert thread_count("numpy") is None
-    assert len(caught) == 1
-    assert issubclass(caught[0].category, RuntimeWarning)
-    assert "numpy" in str(caught[0].message)
-    assert read_numpy() == numpy_old
-    assert thread_count("scipy") == scipy_old
+    with two_threads():
+        module, _, setter = blas._POOLS["numpy"]
+        monkeypatch.setitem(blas._POOLS, "numpy",
+                            (module, "no_such_blas_symbol", setter))
+        monkeypatch.setattr(blas, "_resolved", {})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for _ in range(3):
+                with one_thread():
+                    assert read_numpy() == 2
+                    assert thread_count("scipy") == 1
+            assert thread_count("numpy") is None
+        assert len(caught) == 1
+        assert issubclass(caught[0].category, RuntimeWarning)
+        assert "numpy" in str(caught[0].message)
+        assert read_numpy() == 2
+        assert thread_count("scipy") == 2
 
 
 def test_import_leaves_both_counts_as_they_were():

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,9 +9,11 @@ import numpy as np
 import pytest
 
 import ssvi
-from ssvi.blas import blas_threads, thread_count
+from ssvi.blas import thread_count
 from ssvi.cli import main
 from ssvi.optimizer import OptimizerError
+
+from conftest import two_threads
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -227,6 +230,19 @@ def test_bad_config_value_exits_2(tmp_path, capsys, overrides, flags, field):
     assert capsys.readouterr().err.startswith(f"config error: {field}: ")
 
 
+@pytest.mark.parametrize("key, value", [
+    ("step_size", math.inf), ("max_iters", -3), ("tol", math.nan),
+    ("tol", -1.0)], ids=["infinite-step", "negative-iters", "nan-tol",
+                         "negative-tol"])
+def test_optimizer_value_that_would_fail_later_exits_2(tmp_path, capsys,
+                                                       key, value):
+    cfg = write_config(tmp_path, optimizer={"step_size": 0.5, key: value})
+    assert main(["fit", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: optimizer: {key} must be ")
+
+
 def test_bench_is_not_a_subcommand(tmp_path):
     cfg = write_config(tmp_path)
     with pytest.raises(SystemExit) as exc:
@@ -423,9 +439,7 @@ class TestBlasPin:
                           "n_samples": 500},
             "diagnostics": {"grid_sizes": [3, 3], "mc_n": 100},
             **overrides})
-        # launched pools may already run one thread; start from two so the
-        # pin and the restore both show
-        with blas_threads(numpy=2, scipy=2):
+        with two_threads():
             assert main([command, "--config", str(cfg),
                          "--out", str(tmp_path / "o")]) == code
             assert pool_counts() == (2, 2)

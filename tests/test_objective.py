@@ -86,10 +86,11 @@ class TestGradient:
         ramps = np.clip((x[:, None] - spec3.breakpoints) / spec3.delta,
                         0.0, 1.0)
         w = rng.normal(size=500)
-        got = _ramp_sums(st.k1, st.f1, w, (spec3.N,))
+        got = _ramp_sums(st.grid.k1, st.grid.f1, w, (spec3.N,))
         np.testing.assert_allclose(got, ramps.T @ w, rtol=1e-12, atol=1e-12)
         group = rng.integers(0, 3, 500)
-        got = _ramp_sums(group * spec3.N + st.k1, st.f1, w, (3, spec3.N))
+        got = _ramp_sums(group * spec3.N + st.grid.k1, st.grid.f1, w,
+                         (3, spec3.N))
         for j in range(3):
             np.testing.assert_allclose(got[j], ramps[group == j].T
                                        @ w[group == j], rtol=1e-12,

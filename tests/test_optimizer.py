@@ -1,3 +1,8 @@
+import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -5,15 +10,15 @@ import pytest
 from scipy.optimize import lsq_linear
 
 import ssvi
-from ssvi import objective, optimizer
-from ssvi.blas import blas_threads, thread_count
+from ssvi import dictionary, objective, optimizer
+from ssvi.blas import thread_count
 from ssvi.dictionary import GramMatrix
 from ssvi.objective import TargetOverflowError
 from ssvi.optimizer import (MAX_HALVINGS, OptimizerError, PgdConfig,
                             compute_upsilon, map_point, project_cone_q,
                             run_pgd)
 
-from conftest import dense_gram
+from conftest import dense_gram, two_threads
 
 
 class FakeGram:
@@ -290,6 +295,19 @@ class TestPgdConfig:
         with pytest.raises(TypeError, match=field):
             PgdConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("step_size", math.inf), ("step_size", math.nan), ("max_iters", -3),
+        ("tol", math.nan), ("tol", -1e-6), ("tol", math.inf)])
+    def test_rejects_values_that_would_fail_later(self, field, value):
+        # inf steps end in a NaN projection and NaN or negative tolerances
+        # silently disable the tolerance stop: all are rejected up front
+        with pytest.raises(ValueError, match=field):
+            PgdConfig(**{field: value})
+
+    def test_accepts_zero_iterations_and_zero_tolerance(self):
+        cfg = PgdConfig(max_iters=0, tol=0.0)
+        assert (cfg.max_iters, cfg.tol) == (0, 0.0)
+
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError, match="seed"):
             PgdConfig(seed=-1)
@@ -521,7 +539,7 @@ class BlasRecordingTarget(ssvi.GaussianTarget):
 
 
 class TestBlasThreads:
-    """run_pgd runs numpy's pool at one thread and restores both pools."""
+    """run_pgd runs both pools at one thread and restores them."""
 
     def fit(self, gauss2_target, overflow):
         target = BlasRecordingTarget(gauss2_target.mean, gauss2_target.cov,
@@ -534,9 +552,7 @@ class TestBlasThreads:
     @pytest.mark.parametrize("overflow", [False, True],
                              ids=["returns", "raises"])
     def test_pins_numpy_and_restores_both(self, gauss2_target, overflow):
-        # launched pools may already run one thread; start from two so the
-        # pin and the restore both show
-        with blas_threads(numpy=2, scipy=2):
+        with two_threads():
             target, fit = self.fit(gauss2_target, overflow)
             if overflow:
                 with pytest.raises(TargetOverflowError):
@@ -545,7 +561,54 @@ class TestBlasThreads:
                 assert fit().iterations == 3
             assert (thread_count("numpy"), thread_count("scipy")) == (2, 2)
         assert target.seen
-        assert set(target.seen) == {(1, 2)}
+        assert set(target.seen) == {(1, 1)}
+
+    def test_gram_matrix_pins_both_and_restores_them(self, monkeypatch):
+        seen = []
+        real_factor = dictionary.cho_factor
+
+        def factor(*args, **kwargs):
+            seen.append((thread_count("numpy"), thread_count("scipy")))
+            return real_factor(*args, **kwargs)
+
+        monkeypatch.setattr(dictionary, "cho_factor", factor)
+        with two_threads():
+            dictionary.gram_matrix(ssvi.build_dictionary(2, 2.0, 1.0))
+            assert (thread_count("numpy"), thread_count("scipy")) == (2, 2)
+        assert len(seen) == 2 and set(seen) == {(1, 1)}
+
+
+def test_library_fit_does_not_depend_on_the_launch_thread_count():
+    # gram_matrix plus run_pgd, as a library caller runs them, in fresh
+    # interpreters whose OpenBLAS pools start at one and at two threads
+    script = textwrap.dedent("""
+        import hashlib
+        import numpy as np
+        import ssvi
+        spec = ssvi.build_dictionary(2, 4.0, 0.5)
+        gram = ssvi.gram_matrix(spec)
+        target = ssvi.GaussianTarget(np.zeros(2),
+                                     np.array([[1.0, 0.5], [0.5, 1.0]]))
+        cfg = ssvi.PgdConfig(step_size=0.5, max_iters=3, n_samples=2000)
+        res = ssvi.run_pgd(target, spec, gram, cfg)
+        for name, arr in [("Q_root", gram.Q_root), ("Q_leaf", gram.Q_leaf),
+                          ("lambda", res.params.lam), ("v", res.params.v),
+                          ("F", res.free_energy_trace)]:
+            print(name, hashlib.sha256(arr.tobytes()).hexdigest())
+    """)
+    src = os.path.dirname(os.path.dirname(ssvi.__file__))
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=env,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        out.append(proc.stdout.splitlines())
+    assert len(out[0]) == 5
+    assert [a for a, b in zip(*out) if a != b] == []
 
 
 def test_fit_allocates_no_dense_gram():
