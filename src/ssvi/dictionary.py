@@ -46,29 +46,46 @@ def ramp(t):
 
 
 # ---------------------------------------------------------------------------
-# Closed-form Gaussian means of the one-dimensional factors
+# The one 1-D rule behind every Gaussian expectation
 # ---------------------------------------------------------------------------
 
-def ramp_mean(b, delta):
-    """E[ψ((X−b)/δ)] for X ~ N(0,1)."""
-    b = np.asarray(b, dtype=float)
-    t = b + delta
-    return ((norm.pdf(b) - norm.pdf(t) - b * (ndtr(t) - ndtr(b))) / delta
-            + 1.0 - ndtr(t))
+def _factor_rule(spec):
+    """(V, w): the 3N+3 one-dimensional factors at the nodes of one rule for
+    X ~ N(0, 1), and the node weights, so that E[u(X)] = Σₖ V[u, k]·w[k].
+
+    The rows of V are every factor a basis is built from:
+    [const, ramp_0.., up_0.., down_0.., hi, lo], where up/down are ψ(t) and
+    ψ(1−t) gated to their cell and hi/lo the tail indicators.  The nodes are
+    8 Gauss–Legendre points per cell of [−R, R), weighted by the normal
+    density, plus one atom on each tail (at ±∞) carrying the tail's mass:
+    every factor is constant on a tail.
+    """
+    N, B, delta, R = spec.N, spec.breakpoints, spec.delta, spec.R
+    nodes, weights = leggauss(8)
+    half = 0.5 * delta
+    x = (B[:, None] + half + half * nodes[None, :]).reshape(-1)
+    w = np.r_[np.tile(half * weights, N) * norm.pdf(x),
+              spec.tail_lo, spec.tail_hi]
+    x = np.r_[x, -np.inf, np.inf]
+    t = (x[None, :] - B[:, None]) / delta          # (N, nodes)
+    cell = (t >= 0.0) & (t < 1.0)
+    V = np.vstack([np.ones_like(x), np.clip(t, 0.0, 1.0),
+                   np.where(cell, t, 0.0), np.where(cell, 1.0 - t, 0.0),
+                   x >= R, x < -R])
+    return V, w
 
 
-def cell_up_mean(b, delta):
-    """E[ψ((X−b)/δ)·1{X ∈ [b, b+δ)}] for X ~ N(0,1)."""
-    b = np.asarray(b, dtype=float)
-    t = b + delta
-    return (norm.pdf(b) - norm.pdf(t) - b * (ndtr(t) - ndtr(b))) / delta
-
-
-def cell_down_mean(b, delta):
-    """E[ψ(1−(X−b)/δ)·1{X ∈ [b, b+δ)}] for X ~ N(0,1)."""
-    b = np.asarray(b, dtype=float)
-    t = b + delta
-    return ndtr(t) - ndtr(b) - cell_up_mean(b, delta)
+def _block_factors(N):
+    """(f, g) rows of V for each basis of the root block, then of one leaf
+    block, in canonical order: the basis is f(x_i)·g(x₁) on its coordinate
+    i.  M0 is f = root ramp m with g = const.  Leaf table row r (M1, M2 by
+    root cell, then M3, M4) pairs leaf ramp m with root factor 1+N+r, and
+    M5 is the constant with root ramp m."""
+    ramps = np.arange(1, N + 1)
+    root = ramps, np.zeros(N, int)
+    leaf = (np.r_[np.tile(ramps, 2 * N + 2), np.zeros(N, int)],
+            np.r_[np.repeat(np.arange(N + 1, 3 * N + 3), N), ramps])
+    return root, leaf
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +169,14 @@ class DictionarySpec:
         self.coord[self.leaf_index] = np.arange(1, self.d)[:, None]
         self.tail_hi = 1.0 - ndtr(self.R)
         self.tail_lo = ndtr(-self.R)
-        self.centering = self._build_centering()
+        # a basis's mean is its factors' product; summed without BLAS, so
+        # the centering does not depend on the thread count
+        V, w = _factor_rule(self)
+        mean = (V * w).sum(axis=1)
+        self.centering = np.empty(self.p)
+        for idx, (f, g) in zip((np.arange(N), self.leaf_index),
+                               _block_factors(N)):
+            self.centering[idx] = mean[f] * mean[g]
         self.constrained = np.ones(self.p, dtype=bool)
         self.constrained[self._off["M5"]:] = False
 
@@ -200,21 +224,6 @@ class DictionarySpec:
     def metadata(self):
         return {"d": self.d, "R": self.R, "delta": self.delta,
                 "ordering_version": self.ordering_version}
-
-    # -- centering ------------------------------------------------------------
-
-    def _build_centering(self):
-        B, delta = self.breakpoints, self.delta
-        rm = ramp_mean(B, delta)
-        fmean = np.r_[1.0, rm]
-        gmean = np.r_[rm, cell_up_mean(B, delta), cell_down_mean(B, delta),
-                      self.tail_hi, self.tail_lo]
-        f, g = _leaf_factors(self.N)
-        c = np.empty(self.p)
-        c[:self.N] = rm
-        # a leaf basis's mean is its factors' product, the same every leaf
-        c[self.leaf_index] = gmean[g] * fmean[f]
-        return c
 
     # -- pointwise basis partials (reference path; the Jacobian sketch in
     #    starmap.py is the vectorized production path) -----------------------
@@ -265,55 +274,6 @@ def build_dictionary(d, R, delta) -> DictionarySpec:
 
 class DictionaryDegenerateError(RuntimeError):
     pass
-
-
-def _factor_tables(spec: DictionarySpec):
-    """Gaussian expectations of pairwise products of the 1-D factors.
-
-    Every basis is a product f(x_i)·g(x₁) of one leaf factor and one root
-    factor (for M0 the single ramp factor lives on x₁, which shares the
-    standard-normal law).  Returns (F, G):
-
-      F — (N+1)×(N+1) over leaf factors [const, ramp_0..ramp_{N-1}];
-      G — (3N+2)×(3N+2) over root factors
-          [ramp_0.., up_0.., down_0.., hi, lo].
-    """
-    N, B, delta, R = spec.N, spec.breakpoints, spec.delta, spec.R
-    nodes, weights = leggauss(8)
-    # per-cell Gauss-Legendre grid over [-R, R]
-    half = 0.5 * delta
-    xs = (B[:, None] + half + half * nodes[None, :]).reshape(-1)
-    ws = np.tile(half * weights, N) * norm.pdf(xs)
-
-    t = (xs[None, :] - B[:, None]) / delta          # (N, nodes)
-    ramps = np.clip(t, 0.0, 1.0)
-    cell = (t >= 0.0) & (t < 1.0)
-    ups = np.where(cell, t, 0.0)
-    downs = np.where(cell, 1.0 - t, 0.0)
-
-    nf = N + 1
-    Vf = np.vstack([np.ones_like(xs)[None, :], ramps])
-    lf = np.concatenate([[1.0], np.zeros(N)])
-    rf = np.concatenate([[1.0], np.ones(N)])
-    F = (Vf * ws) @ Vf.T + spec.tail_lo * np.outer(lf, lf) \
-        + spec.tail_hi * np.outer(rf, rf)
-
-    Vg = np.vstack([ramps, ups, downs,
-                    np.zeros_like(xs)[None, :], np.zeros_like(xs)[None, :]])
-    lg = np.concatenate([np.zeros(3 * N), [0.0, 1.0]])
-    rg = np.concatenate([np.ones(N), np.zeros(2 * N), [1.0, 0.0]])
-    G = (Vg * ws) @ Vg.T + spec.tail_lo * np.outer(lg, lg) \
-        + spec.tail_hi * np.outer(rg, rg)
-    return F, G
-
-
-def _leaf_factors(N):
-    """(f, g) factor indices of one leaf block in canonical order: table
-    row r (M1, M2 by root cell, then M3, M4) pairs leaf ramp m (f = 1+m)
-    with root factor g = N+r, and M5 the constant (f = 0) with root ramp m."""
-    f = np.r_[np.tile(np.arange(1, N + 1), 2 * N + 2), np.zeros(N, int)]
-    g = np.r_[np.repeat(np.arange(N, 3 * N + 2), N), np.arange(N)]
-    return f, g
 
 
 class GramMatrix:
@@ -396,9 +356,12 @@ class GramMatrix:
 
 
 def _power_inv_norm(cho):
-    """‖A⁻¹‖₂ by power iteration on Cholesky solves (rel. tol 1e−6).
+    """A lower estimate of ‖A⁻¹‖₂ by power iteration on Cholesky solves.
 
-    ``cho_factor`` checked A for NaN/inf, so the solves skip that scan."""
+    It stops when two successive estimates agree to 1e−6 relative, which
+    does not make it accurate to 1e−6: a slowly converging iteration can
+    still sit further below the norm.  ``cho_factor`` checked A for
+    NaN/inf, so the solves skip that scan."""
     rng = np.random.default_rng(0)
     v = rng.standard_normal(cho[0].shape[0])
     v /= np.linalg.norm(v)
@@ -414,16 +377,19 @@ def _power_inv_norm(cho):
 
 
 def _compute_gram(spec: DictionarySpec):
-    """The two distinct blocks of Q: (Q_root, Q_leaf)."""
-    N = spec.N
-    F, G = _factor_tables(spec)
-    c0 = spec.centering[:N]
-    Q_root = F[1:, 1:] - np.outer(c0, c0)
-    fidx, gidx = _leaf_factors(N)
-    leaf_c = spec.centering[spec.leaf_index[0]]
-    Q_leaf = F[np.ix_(fidx, fidx)] * G[np.ix_(gidx, gidx)] \
-        - np.outer(leaf_c, leaf_c)
-    return 0.5 * (Q_root + Q_root.T), 0.5 * (Q_leaf + Q_leaf.T)
+    """The two distinct blocks of Q: (Q_root, Q_leaf).  Under ρ a basis's
+    two factors are independent (for M0 one is the constant), so
+    E[f·g·f′·g′] = E[f f′]·E[g g′] and each block is M[f, f′]∘M[g, g′] − c cᵀ
+    with M the rule's second moments and c = ``spec.centering``."""
+    V, w = _factor_rule(spec)
+    M = (V * w) @ V.T
+    blocks = []
+    for idx, (f, g) in zip((np.arange(spec.N), spec.leaf_index[0]),
+                           _block_factors(spec.N)):
+        c = spec.centering[idx]
+        Q = M[np.ix_(f, f)] * M[np.ix_(g, g)] - np.outer(c, c)
+        blocks.append(0.5 * (Q + Q.T))
+    return tuple(blocks)
 
 
 @one_thread()

@@ -17,6 +17,7 @@ Families:
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -63,6 +64,9 @@ class RegularityConstants:
 
 
 def _check_constants(ell, L, ell_root, L_root):
+    if not (0 < L < math.inf and 0 < L_root < math.inf):
+        raise ValueError(f"curvature upper bounds L = {L} and L_root = "
+                         f"{L_root} must be positive and finite")
     warnings = []
     if not np.isfinite(ell) or ell <= 0:
         warnings.append("leaf curvature lower bound nonpositive")
@@ -121,6 +125,8 @@ class GaussianTarget(TargetPotential):
         cov = np.asarray(cov, dtype=float)
         if cov.shape != (mean.size, mean.size):
             raise ValueError("covariance shape does not match mean")
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise ValueError("mean and covariance must be finite")
         if not np.allclose(cov, cov.T, rtol=0, atol=1e-12):
             raise ValueError("covariance must be symmetric")
         eigs = np.linalg.eigvalsh(cov)
@@ -199,8 +205,8 @@ class GaussianPrior:
 
     def __init__(self, precision):
         check_number("precision", precision)
-        if precision <= 0:
-            raise ValueError("prior precision must be positive")
+        if not 0 < precision < math.inf:
+            raise ValueError("prior precision must be positive and finite")
         self.tau2 = float(precision)
         self.curv_lower = self.tau2
         self.curv_upper = self.tau2
@@ -220,8 +226,8 @@ class LogisticPrior:
 
     def __init__(self, scale):
         check_number("scale", scale)
-        if scale <= 0:
-            raise ValueError("prior scale must be positive")
+        if not 0 < scale < math.inf:
+            raise ValueError("prior scale must be positive and finite")
         self.scale = float(scale)
         self.curv_lower = 0.0
         self.curv_upper = 0.5 / scale ** 2
@@ -255,10 +261,14 @@ class _GlmTarget(TargetPotential):
         y = np.atleast_1d(np.asarray(y, dtype=float))
         if X.shape[0] != y.size:
             raise ValueError("design and response sizes differ")
+        if not (np.isfinite(X).all() and np.isfinite(y).all()):
+            raise ValueError("design and response must be finite")
         check_number("dispersion", dispersion)
         check_number("psi_lower", psi_lower, optional=True)
-        if dispersion <= 0:
-            raise ValueError("dispersion must be positive")
+        if not 0 < dispersion < math.inf:
+            raise ValueError("dispersion must be positive and finite")
+        if psi_lower is not None and not 0 < psi_lower < math.inf:
+            raise ValueError("psi_lower must be positive and finite")
         if isinstance(family, str):
             if family not in LOG_PARTITIONS:
                 raise ValueError(f"unknown log_partition: {family}")
@@ -271,8 +281,9 @@ class _GlmTarget(TargetPotential):
         self.family = family
         self.c = float(dispersion)
         self.psi_lower = psi_lower
-        self.A = X.T @ X / self.c
-        self.w = X.T @ y / self.c
+        with np.errstate(over="ignore"):  # _check_constants reports it
+            self.A = X.T @ X / self.c
+            self.w = X.T @ y / self.c
         self._sufficient = family.name == "linear"
 
     def _data_value(self, beta):
@@ -442,8 +453,8 @@ def mixture_log_concavity_bound(eta, tau0, tau1):
     """
     if not (0.0 <= eta <= 1.0):
         raise ValueError("eta must lie in [0, 1]")
-    if not (0.0 < tau1 < tau0):
-        raise ValueError("require 0 < tau1 < tau0")
+    if not (0.0 < tau1 < tau0 < math.inf):
+        raise ValueError("require 0 < tau1 < tau0 < inf")
     if eta == 0.0:
         return tau1 ** 2
     if eta == 1.0:
@@ -474,10 +485,10 @@ class SpikeSlabGlmTarget(_GlmTarget):
         for field, value in [("eta", eta), ("tau0", tau0), ("tau1", tau1),
                              ("debias_precision", debias_precision)]:
             check_number(field, value)
-        if not (0.0 <= eta <= 1.0):
-            raise ValueError("eta must lie in [0, 1]")
-        if not (0.0 < tau1 < tau0):
-            raise ValueError("require 0 < tau1 < tau0")
+        # checks eta and the two precisions
+        self.xi_bound = mixture_log_concavity_bound(eta, tau0, tau1)
+        if not 0 <= debias_precision < math.inf:
+            raise ValueError("debias_precision must be nonnegative and finite")
         norm1 = float(X[:, 0] @ X[:, 0])
         if norm1 <= 0:
             raise ValueError("first design column must be nonzero")
@@ -517,8 +528,7 @@ class SpikeSlabGlmTarget(_GlmTarget):
     def _constants(self, b, B, a_lo, a_hi):
         A11 = self.A[0, 0]
         tau2 = self.tau2
-        xi_bound = mixture_log_concavity_bound(self.eta, self.tau0, self.tau1)
-        ell = b * a_lo + xi_bound
+        ell = b * a_lo + self.xi_bound
         L = B * a_hi + self.tau0 ** 2 + tau2 * float(self.gamma @ self.gamma)
         if b * a_lo > 0:
             ell_root = (b * A11 + tau2

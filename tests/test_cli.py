@@ -515,6 +515,44 @@ def test_nonfinite_grid_exits_2(tmp_path, capsys, R):
         "config error: dictionary: R and delta must be positive and finite")
 
 
+def nan_design_csv(tmp):
+    (tmp / "X.csv").write_text("1.0,nan\n0.0,1.0\n")
+    return {"family": "glm_location", "design_csv": str(tmp / "X.csv"),
+            "response": [1.0, 0.0]}
+
+
+# JSON's NaN and Infinity, a CSV "nan", an entry whose curvature bounds
+# overflow and out-of-range parameters are target errors found before a fit
+@pytest.mark.parametrize("target", [
+    dict(GLM, design=[[math.inf, 0.0], [0.0, 1.0]]),
+    nan_design_csv,
+    dict(GLM, design=[[1e200, 0.0], [0.0, 1.0]]),
+    dict(GLM, response=[math.nan, 0.0]),
+    dict(GLM, dispersion=math.nan),
+    dict(GLM, dispersion=math.inf),
+    dict(GLM, prior={"precision": math.nan}),
+    dict(GLM, hyperprior={"precision": math.inf}),
+    dict(GLM, prior={"type": "logistic", "scale": math.nan}),
+    dict(GLM, log_partition="logistic", psi_lower=0.0),
+    dict(GLM, log_partition="logistic", psi_lower=math.nan),
+    {"family": "gaussian", "mean": [math.nan, 0.0],
+     "cov": [[1.0, 0.0], [0.0, 1.0]]},
+    dict(SPIKE_SLAB, debias_precision=-1.0),
+    dict(SPIKE_SLAB, debias_precision=math.nan),
+    dict(SPIKE_SLAB, tau0=math.inf),
+], ids=["design-inf", "design-csv-nan", "design-overflow", "response-nan",
+        "dispersion-nan", "dispersion-inf", "prior-nan", "hyperprior-inf",
+        "logistic-prior-nan", "psi-lower-zero", "psi-lower-nan", "mean-nan",
+        "debias-negative", "debias-nan", "tau0-inf"])
+def test_nonfinite_or_out_of_range_target_exits_2(tmp_path, capsys, target):
+    if callable(target):
+        target = target(tmp_path)
+    cfg = write_config(tmp_path, target=target)
+    assert main(["fit", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("config error: target")
+
+
 def test_log_partition_of_wrong_type_names_its_key(tmp_path, capsys):
     cfg = write_config(tmp_path, target=dict(GLM, log_partition=5))
     assert main(["fit", "--config", str(cfg),

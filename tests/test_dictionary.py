@@ -4,8 +4,7 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 import ssvi
-from ssvi.dictionary import (DictionaryDegenerateError, GramMatrix,
-                             cell_down_mean, cell_up_mean, ramp_mean)
+from ssvi.dictionary import BasisId, DictionaryDegenerateError, GramMatrix
 
 from conftest import basis_values, dense_gram
 
@@ -62,21 +61,49 @@ class TestSizeAndOrdering:
         assert (spec.d, spec.R, spec.delta) == (2, 2.0, 1.0)
 
 
-class TestCentering:
-    def test_ramp_mean_closed_form(self):
-        for b, delta in ((-1.0, 1.0), (0.5, 0.5), (2.0, 0.25)):
-            num = quad(lambda x: ssvi.ramp((x - b) / delta) * norm.pdf(x),
-                       -12, 12, limit=200)[0]
-            assert np.isclose(ramp_mean(b, delta), num, atol=1e-9)
+def factors(spec, bid):
+    """(f, g) with basis ``bid`` = f(x_i)·g(x₁) before centering; for M0 and
+    M5, which live on x₁ alone, f is the constant."""
+    delta = spec.delta
 
-    def test_cell_means_closed_form(self):
-        for b, delta in ((-0.5, 0.5), (1.0, 1.0)):
-            up = quad(lambda x: ((x - b) / delta) * norm.pdf(x),
-                      b, b + delta)[0]
-            down = quad(lambda x: (1 - (x - b) / delta) * norm.pdf(x),
-                        b, b + delta)[0]
-            assert np.isclose(cell_up_mean(b, delta), up, atol=1e-12)
-            assert np.isclose(cell_down_mean(b, delta), down, atol=1e-12)
+    def ramp_at(b):
+        return lambda x: float(ssvi.ramp((x - b) / delta))
+
+    if bid.cls in ("M0", "M5"):
+        return (lambda x: 1.0), ramp_at(bid.b)
+    if bid.cls == "M3":
+        return ramp_at(bid.b), lambda x: float(x >= spec.R)
+    if bid.cls == "M4":
+        return ramp_at(bid.b), lambda x: float(x < -spec.R)
+
+    def gated(x):
+        u = (x - bid.bprime) / delta
+        return (u if bid.cls == "M1" else 1.0 - u) * (0.0 <= u < 1.0)
+    return ramp_at(bid.b), gated
+
+
+def gaussian_mean(spec, h):
+    """E[h(X)] for X ~ N(0, 1) by adaptive quadrature, split at every grid
+    point; the mass beyond ±12 is below 1e-32."""
+    return quad(lambda x: h(x) * norm.pdf(x), -12.0, 12.0, limit=200,
+                points=np.append(spec.breakpoints, spec.R), epsabs=1e-14)[0]
+
+
+ONE_OF_EACH = [BasisId("M0", None, -1.0), BasisId("M1", 2, 0.0, 0.5),
+               BasisId("M2", 2, 0.5, 0.5), BasisId("M3", 2, 1.0),
+               BasisId("M4", 2, -2.0), BasisId("M5", 2, 0.5)]
+
+
+class TestCentering:
+    @pytest.mark.parametrize("bid", ONE_OF_EACH, ids=lambda b: b.cls)
+    def test_centering_matches_quadrature(self, bid):
+        # the two factors sit on independent coordinates (or one is the
+        # constant), so a basis's mean is the product of two 1-D integrals
+        spec = ssvi.build_dictionary(3, 2.0, 0.5)
+        f, g = factors(spec, bid)
+        expected = gaussian_mean(spec, f) * gaussian_mean(spec, g)
+        assert spec.centering[spec.index_of(bid)] == pytest.approx(
+            expected, abs=1e-12)
 
     def test_centering_makes_bases_mean_zero(self):
         spec = ssvi.build_dictionary(2, 1.0, 1.0)
@@ -116,6 +143,22 @@ class TestGram:
                                   Q[np.ix_(first, first)])
             assert np.array_equal(spec.centering[idx],
                                   spec.centering[first])
+
+    @pytest.mark.parametrize("j, k", [(6, 0), (1, 1), (1, 2), (1, 3),
+                                      (2, 5), (3, 3), (3, 4), (4, 5)])
+    def test_blocks_match_quadrature(self, j, k):
+        # E[f f′]·E[g g′] − E[f]E[g]·E[f′]E[g′], each factor a 1-D integral;
+        # (6, 0) is in the root block, the rest in the second leaf block
+        spec = ssvi.build_dictionary(3, 2.0, 0.5)
+        Q = dense_gram(ssvi.gram_matrix(spec))
+        a, b = (ONE_OF_EACH + [BasisId("M0", None, 0.5)])[j], ONE_OF_EACH[k]
+        (fa, ga), (fb, gb) = factors(spec, a), factors(spec, b)
+        mean = [gaussian_mean(spec, h) for h in (fa, ga, fb, gb)]
+        expected = (gaussian_mean(spec, lambda x: fa(x) * fb(x))
+                    * gaussian_mean(spec, lambda x: ga(x) * gb(x))
+                    - mean[0] * mean[1] * mean[2] * mean[3])
+        assert Q[spec.index_of(a), spec.index_of(b)] == pytest.approx(
+            expected, abs=1e-12)
 
     def test_not_positive_definite_raises(self, coarse_spec, coarse_gram):
         Q_root, Q_leaf = coarse_gram.Q_root, coarse_gram.Q_leaf
