@@ -348,32 +348,42 @@ class GramMatrix:
 
     @property
     def inv_norm(self):
-        """‖Q⁻¹‖₂: the larger of the two blocks' power iterations."""
+        """‖Q⁻¹‖₂: the larger of the two blocks' Lanczos estimates."""
         if self._inv_norm is None:
-            self._inv_norm = max(_power_inv_norm(self._cho["root"]),
-                                 _power_inv_norm(self._cho["leaf"]))
+            self._inv_norm = max(_lanczos_inv_norm(self._cho["root"]),
+                                 _lanczos_inv_norm(self._cho["leaf"]))
         return self._inv_norm
 
 
-def _power_inv_norm(cho):
-    """A lower estimate of ‖A⁻¹‖₂ by power iteration on Cholesky solves.
+def _lanczos_inv_norm(cho):
+    """‖A⁻¹‖₂ = λ_max(A⁻¹) by Lanczos on Cholesky solves, from a fixed
+    random start, with every new vector orthogonalised twice against all
+    earlier ones.
 
-    It stops when two successive estimates agree to 1e−6 relative, which
-    does not make it accurate to 1e−6: a slowly converging iteration can
-    still sit further below the norm.  ``cho_factor`` checked A for
-    NaN/inf, so the solves skip that scan."""
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(cho[0].shape[0])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(500):
-        y = cho_solve(cho, v, check_finite=False)
-        lam_new = float(np.linalg.norm(y))
-        v = y / lam_new
-        if abs(lam_new - lam) <= 1e-6 * lam_new:
-            return lam_new
-        lam = lam_new
-    return lam
+    It stops when the top Ritz value θ has the residual bound β·|s| ≤
+    1e−10·θ (s the last entry of its Ritz vector), or when the Krylov space
+    is the whole space.  θ is a lower estimate of the norm, and the bound
+    puts an eigenvalue of A⁻¹ within 1e−10·θ of it.  ``cho_factor``
+    checked A for NaN/inf, so the solves skip that scan.
+    """
+    m = cho[0].shape[0]
+    q = np.random.default_rng(0).standard_normal(m)
+    basis = [q / np.linalg.norm(q)]
+    alpha, beta = [], []
+    while True:
+        w = cho_solve(cho, basis[-1], check_finite=False)
+        alpha.append(float(basis[-1] @ w))
+        V = np.array(basis)
+        for _ in range(2):
+            w -= (V @ w) @ V
+        b = float(np.linalg.norm(w))
+        # a dense eigh of the j×j tridiagonal: j stays small, and its first
+        # call keeps less resident than scipy's eigh_tridiagonal's
+        theta, S = np.linalg.eigh(np.diag(alpha) + np.diag(beta, -1))
+        if b * abs(S[-1, -1]) <= 1e-10 * theta[-1] or len(basis) == m:
+            return float(theta[-1])
+        beta.append(b)
+        basis.append(w / b)
 
 
 def _compute_gram(spec: DictionarySpec):

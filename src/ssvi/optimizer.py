@@ -40,6 +40,7 @@ from .starmap import ConeViolationError, StarMapParams
 
 MAX_HALVINGS = 10
 PROJ_TOL = 1e-10
+FREE_CHUNK = 1 << 16  # values of Q per row chunk (512 KB, cache-sized)
 
 
 class OptimizerError(RuntimeError):
@@ -163,21 +164,23 @@ def _project_block(z, Q, inverse, last, constrained, active):
     W_AA, with W = ``inverse()`` the block's Q⁻¹, fetched only then.  A
     sweep that repeats the working set of the last solve, kept in ``last``
     with its factor, reuses the factor: a warm start's first sweep often
-    does.  A sweep on a block of size m costs O(min(|A|,|F|)³ +
-    m·min(|A|,|F|) + m²), without the cube on a reuse.
+    does.  Qz is formed once per call, an m² product.  A free-side sweep
+    then costs O(|F|³ + m·|F|) when 3|F| <= m, since θ_A = 0 gives
+    μ = Q[:, F]θ_F − Qz, and O(|F|³ + m²) otherwise; a W-side sweep costs
+    O(|A|³ + m·|A| + m²).  None pays the cube on a reuse.
     """
     m = z.size
     Qz = Q @ z
 
     def subproblem(active_mask):
-        """Optimum with θ_A = 0: θ_F = Q_FF⁻¹ (Qz)_F, or equivalently
-        θ_F = z_F − W_FA W_AA⁻¹ z_A."""
+        """Optimum with θ_A = 0, θ_F = Q_FF⁻¹ (Qz)_F or equivalently
+        θ_F = z_F − W_FA W_AA⁻¹ z_A, and its multipliers μ = Q(θ − z)."""
         A = np.flatnonzero(active_mask)
         if A.size == 0:
-            return z.copy()
+            return z.copy(), np.zeros(m)
         F = np.flatnonzero(~active_mask)
         if F.size == 0:
-            return np.zeros(m)
+            return np.zeros(m), -Qz
         free_side = F.size < A.size
         W = None if free_side else inverse()
         # out of the slot while in use, so concurrent projections never mix
@@ -196,10 +199,20 @@ def _project_block(z, Q, inverse, last, constrained, active):
         if free_side:
             out = np.zeros(m)
             out[F] = cho_solve(cho, Qz[F], check_finite=False)
-            return out
-        out = z - W[:, A] @ cho_solve(cho, z[A], check_finite=False)
-        out[A] = 0.0
-        return out
+        else:
+            out = z - W[:, A] @ cho_solve(cho, z[A], check_finite=False)
+            out[A] = 0.0
+        # θ_A = 0, so μ = Q[:, F]θ_F − Qz.  Copying the free rows and reading
+        # them again moves about 3|F|m values against the m² of Q(θ − z), so
+        # the rows pay only if 3|F| <= m (never on the W side, |F| >= |A|).
+        if 3 * F.size > m:
+            return out, Q @ (out - z)
+        mu = -Qz
+        rows = max(1, FREE_CHUNK // m)
+        for start in range(0, F.size, rows):
+            chunk = F[start:start + rows]
+            mu += out[chunk] @ Q[chunk]
+        return out, mu
 
     # Block principal pivoting: flip every violated index per sweep, falling
     # back to single-index pivots if the infeasibility count stalls.
@@ -207,8 +220,7 @@ def _project_block(z, Q, inverse, last, constrained, active):
     block_budget = 30
     max_iter = 10 * m + 100
     for _ in range(max_iter):
-        theta = subproblem(active)
-        mu = Q @ (theta - z)
+        theta, mu = subproblem(active)
         primal = constrained & ~active & (theta < -1e-14)
         dual = active & (mu < -PROJ_TOL)
         n_infeas = int(primal.sum() + dual.sum())

@@ -123,10 +123,13 @@ def _cells(spec, x):
 
 def _prefix(coef, axis=-1):
     """Prefix sums with a leading zero along ``axis``."""
-    cs = np.cumsum(coef, axis=axis)
-    pad = [(0, 0)] * coef.ndim
-    pad[axis] = (1, 0)
-    return np.pad(cs, pad)
+    shape = list(coef.shape)
+    shape[axis] += 1
+    out = np.zeros(shape, dtype=coef.dtype)
+    tail = [slice(None)] * coef.ndim
+    tail[axis] = slice(1, None)
+    np.cumsum(coef, axis=axis, out=out[tuple(tail)])
+    return out
 
 
 def _leaf_table(spec, lam, li):

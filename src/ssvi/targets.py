@@ -144,7 +144,7 @@ class GaussianTarget(TargetPotential):
     def potential(self, z):
         z = self._check_dim(z)
         diff = z - self.mean
-        return 0.5 * np.einsum("...i,ij,...j->...", diff, self.precision, diff)
+        return 0.5 * np.einsum("...i,...i->...", diff @ self.precision, diff)
 
     def grad(self, z):
         z = self._check_dim(z)

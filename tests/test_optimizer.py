@@ -250,6 +250,47 @@ class TestBlockProjection:
         assert first.tobytes() == second.tobytes() == fresh.tobytes()
 
 
+class TestFreeSideMultipliers:
+    """A free-side sweep forms μ = Q(θ − z) from the free rows of Q only."""
+
+    @pytest.fixture(scope="class")
+    def leaf(self):
+        # the (2, 4, ½) leaf (m = 560): this z ends with 145 free indices,
+        # at most m/3, so the final sweep takes the free rows of Q, in two
+        # chunks of at most 117 rows
+        gram = ssvi.gram_matrix(ssvi.build_dictionary(2, 4.0, 0.5))
+        cons = gram.spec.constrained[gram.spec.leaf_index[0]]
+        z = np.random.default_rng(0).normal(size=cons.size)
+        return gram.Q_leaf, z, cons
+
+    def test_residual_matches_a_dense_recompute(self, leaf):
+        Q, z, cons = leaf
+        active = cons & (z < 0)
+        theta, r, s = optimizer._project_block(
+            z, Q, lambda: np.linalg.inv(Q), {}, cons, active)
+        n_free = int((~active).sum())
+        assert optimizer.FREE_CHUNK // Q.shape[0] < n_free
+        assert 3 * n_free <= Q.shape[0]
+        assert np.allclose(theta, bvls_projection(Q, z, cons), atol=1e-8)
+        dense = np.abs(Q @ (theta - z))[~active].max()
+        assert s == np.abs(Q @ z).max()
+        assert abs(r - dense) <= 1e-12 * max(1.0, s)
+
+    def test_perturbed_free_solve_fails_the_kkt_check(self, leaf,
+                                                      monkeypatch):
+        Q, z, cons = leaf
+        _, active = project_cone_q(z, FakeGram(Q), cons)
+        solve = optimizer.cho_solve
+
+        def perturbed(*args, **kwargs):
+            return solve(*args, **kwargs) * (1.0 + 1e-6)
+
+        monkeypatch.setattr(optimizer, "cho_solve", perturbed)
+        # warm from the answer's set: one free-side sweep, then the check
+        with pytest.raises(OptimizerError, match="KKT residual"):
+            project_cone_q(z, FakeGram(Q), cons, warm_active=active)
+
+
 class TestUpsilon:
     def test_hand_value(self):
         spec = ssvi.build_dictionary(2, 1.0, 0.5)

@@ -5,7 +5,8 @@ import pytest
 from scipy.stats import norm
 
 import ssvi
-from ssvi.starmap import _invert_1d, _map_1d, jacobian, leaf_profile
+from ssvi.starmap import (_invert_1d, _map_1d, _prefix, jacobian,
+                          leaf_profile)
 
 from conftest import basis_values, random_admissible_params
 
@@ -50,6 +51,18 @@ class TestForward:
                 X[:, c] = xs
                 Z = ssvi.map_eval(rand_params, spec3, X)
                 assert np.all(np.diff(Z[:, c]) > 0)
+
+
+class TestPrefix:
+    # axis 1 of a leaf table and the last axis of a vector, as in starmap
+    @pytest.mark.parametrize("shape, axis", [((10, 4), 1), ((4,), -1),
+                                             ((10, 4), 0)])
+    def test_matches_the_padded_cumsum(self, shape, axis):
+        coef = np.random.default_rng(5).normal(size=shape)
+        pad = [(0, 0)] * coef.ndim
+        pad[axis] = (1, 0)
+        want = np.pad(np.cumsum(coef, axis=axis), pad)
+        assert np.array_equal(_prefix(coef, axis=axis), want)
 
 
 class TestJacobian:

@@ -99,6 +99,17 @@ class TestGaussianTarget:
         assert vals.shape == (7,)
         assert np.isclose(vals[2], gauss3_target.potential(Z[2]))
 
+    @pytest.mark.parametrize("shape", [(3,), (50, 3), (4, 6, 3)])
+    def test_potential_matches_the_three_operand_form(self, gauss3_target,
+                                                       shape):
+        z = np.random.default_rng(3).normal(size=shape)
+        diff = z - gauss3_target.mean
+        want = 0.5 * np.einsum("...i,ij,...j->...", diff,
+                               gauss3_target.precision, diff)
+        got = gauss3_target.potential(z)
+        assert got.shape == shape[:-1]
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
     def test_rejects_non_spd(self):
         with pytest.raises(ValueError, match="positive definite"):
             ssvi.GaussianTarget([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])
