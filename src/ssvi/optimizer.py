@@ -218,8 +218,9 @@ def _project_block(z, Q, inverse, last, constrained, active):
     # back to single-index pivots if the infeasibility count stalls.
     best_infeas = m + 1
     block_budget = 30
+    seen = set()  # working sets of the current run of single pivots
     max_iter = 10 * m + 100
-    for _ in range(max_iter):
+    for sweep in range(1, max_iter + 1):
         theta, mu = subproblem(active)
         primal = constrained & ~active & (theta < -1e-14)
         dual = active & (mu < -PROJ_TOL)
@@ -230,6 +231,7 @@ def _project_block(z, Q, inverse, last, constrained, active):
         if n_infeas < best_infeas:
             best_infeas = n_infeas
             block_budget = 30
+            seen.clear()
         else:
             block_budget -= 1
         if block_budget > 0:
@@ -237,7 +239,15 @@ def _project_block(z, Q, inverse, last, constrained, active):
             active[dual] = False
         else:
             # single pivot on the largest infeasible index: Murty's rule,
-            # which cannot cycle (Júdice & Pires 1994; Kim & Park 2011)
+            # which on an SPD Q never revisits a working set in exact
+            # arithmetic (Murty 1974; Júdice & Pires 1994), so a repeat is
+            # numerical failure and ends the projection at once
+            key = np.packbits(active).tobytes()
+            if key in seen:
+                raise OptimizerError(
+                    f"projection single pivots revisit a working set "
+                    f"(m = {m}, sweep {sweep})")
+            seen.add(key)
             k = int(np.flatnonzero(primal | dual)[-1])
             active[k] = not active[k]
     raise OptimizerError("projection active-set did not converge")
@@ -247,11 +257,12 @@ def _project_block(z, Q, inverse, last, constrained, active):
 # MAP initialization
 # ---------------------------------------------------------------------------
 
-def map_point(target, x0=None, iters=20):
-    """Mode of the target by damped Newton with Armijo backtracking."""
-    x = np.zeros(target.d) if x0 is None else np.asarray(x0, dtype=float)
+def map_point(target):
+    """Mode of the target by at most 20 damped Newton steps from 0, with
+    Armijo backtracking."""
+    x = np.zeros(target.d)
     fx = float(target.potential(x))
-    for _ in range(iters):
+    for _ in range(20):
         g = target.grad(x)
         H = target.hessian(x)
         try:

@@ -291,6 +291,24 @@ class TestFreeSideMultipliers:
             project_cone_q(z, FakeGram(Q), cons, warm_active=active)
 
 
+    def test_cycling_single_pivots_fail_in_sweeps(self, leaf, monkeypatch):
+        # solves 1e-3 off break Murty's rule, whose single pivots then
+        # revisit a working set; that ends the projection, not the budget
+        # of 10·m + 100 = 5 700 sweeps
+        Q, z, cons = leaf
+        solve = optimizer.cho_solve
+        calls = []
+
+        def perturbed(*args, **kwargs):
+            calls.append(None)
+            return solve(*args, **kwargs) * (1.0 + 1e-3)
+
+        monkeypatch.setattr(optimizer, "cho_solve", perturbed)
+        with pytest.raises(OptimizerError, match="revisit a working set"):
+            project_cone_q(z, FakeGram(Q), cons)
+        assert len(calls) < 200
+
+
 class TestUpsilon:
     def test_hand_value(self):
         spec = ssvi.build_dictionary(2, 1.0, 0.5)
