@@ -20,8 +20,8 @@ from numbers import Integral
 import numpy as np
 
 from .gaussian_oracle import GaussianDist, kl_gaussians, ssvi_gaussian
-from .starmap import (StarMapParams, _invert_1d, _map_1d, _root_1d, forward,
-                      invert_root, leaf_profile)
+from .starmap import (StarMapParams, _invert_1d, _root_1d, forward,
+                      leaf_profile)
 
 
 class DiagnosticsError(ValueError):
@@ -77,24 +77,22 @@ class BoundCertificate:
 # helpers
 # ---------------------------------------------------------------------------
 
-def _conditional_sample(params, spec, z1, rng, mc_n, skip=None):
+def _conditional_sample(params, spec, z1, x1, rng, mc_n, skip=None):
     """Draw mc_n points from the fitted measure conditioned on Z₁ = z₁.
 
-    Leaves are independent given the root, so each leaf coordinate is a
-    fresh standard normal transported through its effective 1-D map at the
-    inverted root value.  ``skip`` omits one leaf column (left as NaN).
+    Leaves are independent given the root, so the rows (x₁, ξ) go through
+    the map, with x₁ = T₁⁻¹(z₁) and ξ fresh standard normals, drawn leaf
+    by leaf.  ``skip`` omits one leaf column (left as NaN, no normals).
     """
-    d = spec.d
-    x1 = invert_root(params, spec, float(z1))
-    Z = np.full((mc_n, d), np.nan)
+    leaves = [i for i in range(1, spec.d) if i != skip]
+    X = np.zeros((mc_n, spec.d))
+    X[:, 0] = x1
+    X[:, leaves] = rng.standard_normal((len(leaves), mc_n)).T
+    Z = forward(params, spec, X).Z
     Z[:, 0] = z1
-    for i in range(1, d):
-        if i == skip:
-            continue
-        mu, const = leaf_profile(params, spec, i, x1)
-        Z[:, i] = _map_1d(spec, params.alpha[i], mu, const,
-                          rng.standard_normal(mc_n))[0]
-    return Z, x1
+    if skip is not None:
+        Z[:, skip] = np.nan
+    return Z
 
 
 def check_residual_settings(grid_sizes, mc_n):
@@ -164,10 +162,11 @@ def self_consistency_residual(params, spec, target, grid_sizes=9, mc_n=2000,
         normalized.append(abs(r) / (1.0 + abs(e)))
         return r, float(g.std(ddof=1) / np.sqrt(mc_n))
 
-    x, slope = _invert_1d(spec, *_root_1d(params, spec), root_grid)
+    root = _root_1d(params, spec)
+    x, slope = _invert_1d(spec, *root, root_grid)
     for gi, z1 in enumerate(root_grid):
         rng = np.random.default_rng([seed, gi])
-        Z, _ = _conditional_sample(params, spec, z1, rng, mc_n)
+        Z = _conditional_sample(params, spec, z1, x[gi], rng, mc_n)
         root_res[gi], root_se[gi] = residual(
             -x[gi] / slope[gi], target.grad(Z)[:, 0],
             f"root residual at z1={z1}")
@@ -175,13 +174,15 @@ def self_consistency_residual(params, spec, target, grid_sizes=9, mc_n=2000,
     leaf_grids, leaf_res, leaf_se = [], [], []
     root_sub = ogrid(mean[0] - 3 * std[0], mean[0] + 3 * std[0],
                      max(3, n_root // 3))
+    x_sub = _invert_1d(spec, *root, root_sub)[0]
     for i in range(1, spec.d):
         zi_grid = ogrid(mean[i] - 3 * std[i], mean[i] + 3 * std[i], n_leaf)
         pts = np.array([(z1, zi) for z1 in root_sub for zi in zi_grid])
         res, ses = np.empty((2, len(pts)))
         for gi, (z1, zi) in enumerate(pts):
             rng = np.random.default_rng([seed, i, gi])
-            Z, x1 = _conditional_sample(params, spec, z1, rng, mc_n, skip=i)
+            x1 = x_sub[gi // n_leaf]
+            Z = _conditional_sample(params, spec, z1, x1, rng, mc_n, skip=i)
             Z[:, i] = zi
             xi, slope = _invert_1d(spec, params.alpha[i],
                                    *leaf_profile(params, spec, i, x1), zi)
@@ -208,21 +209,25 @@ def approximation_bound(target, consts, mc_n=5000, seed=0, params=None,
     Samples from the star optimum come either from the fitted map
     (``params``/``spec``) or from a closed-form Gaussian (``star``); the
     Gaussian path additionally reports the exact KL and the slack
-    RHS − KL.  ℓ'_V ≤ 0 marks the certificate "assumptions unverified"
-    and reports NaN instead of a bound.
+    RHS − KL.  Constants with warnings (ℓ_V or ℓ'_V not positive and
+    finite) mark the certificate "assumptions unverified": it reports NaN
+    instead of a bound, and draws no sample.
     """
+    if params is not None and spec is None:
+        raise ValueError("spec required with params")
+    if params is None and star is None:
+        raise ValueError("need fitted params or a closed-form star measure")
+    if consts.warnings:
+        return BoundCertificate(np.nan, np.nan, assumptions_verified=False)
+
     d = target.d
     rng = np.random.default_rng(seed)
     if params is not None:
-        if spec is None:
-            raise ValueError("spec required with params")
         X = rng.standard_normal((int(mc_n), d))
         Z = forward(params, spec, X).Z
-    elif star is not None:
+    else:
         L = np.linalg.cholesky(star.cov)
         Z = star.mean + rng.standard_normal((int(mc_n), d)) @ L.T
-    else:
-        raise ValueError("need fitted params or a closed-form star measure")
 
     H = target.hessian(Z)
     iu, ju = np.triu_indices(d - 1, k=1)
@@ -231,8 +236,6 @@ def approximation_bound(target, consts, mc_n=5000, seed=0, params=None,
     mean_s = float(S.mean())
     se_s = float(S.std(ddof=1) / np.sqrt(mc_n)) if len(S) > 1 else 0.0
 
-    if not (consts.ell_root > 0 and consts.ell > 0):
-        return BoundCertificate(np.nan, np.nan, assumptions_verified=False)
     c = consts.L_root / (2.0 * consts.ell_root * consts.ell ** 2)
     rhs = c * mean_s
     se = c * se_s

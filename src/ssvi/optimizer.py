@@ -97,8 +97,6 @@ class FitResult:
 
 def compute_upsilon(consts, spec, gram) -> float:
     """Υ = 9δ⁻²((L'_V)^{1/2} + (d−1)L_V^{1/2})²·‖Q⁻¹‖₂."""
-    if not (np.isfinite(consts.L) and np.isfinite(consts.L_root)):
-        raise ValueError("missing regularity constants")
     factor = (math.sqrt(consts.L_root)
               + (spec.d - 1) * math.sqrt(consts.L)) ** 2
     return 9.0 / spec.delta ** 2 * factor * gram.inv_norm
@@ -336,14 +334,14 @@ def run_pgd(target, spec, gram, config: PgdConfig, consts=None,
         # The first trial's projection starts from the iterate's active set
         # (its constrained zeros, for the initial one), each halving's from
         # the set of the trial it rejected: the halved point lies between
-        # the two, far nearer the rejected trial.
+        # the two, far nearer the rejected trial.  The accepted trial's set
+        # is the next iterate's.
         step = min(h, 2.0 * cur_step)
-        warm = active
         for n_halved in range(MAX_HALVINGS + 1):
             fe = None
-            lam_new, warm = project_cone_q(
+            lam_new, active = project_cone_q(
                 params.lam - step * nat, gram, spec.constrained,
-                warm_active=warm)
+                warm_active=active)
             v_new = params.v - step * gv
             trial = StarMapParams(params.alpha, lam_new, v_new)
             try:
@@ -363,7 +361,6 @@ def run_pgd(target, spec, gram, config: PgdConfig, consts=None,
         theta_norm = math.sqrt(max(0.0, float(dlam @ gram.matvec(dlam))
                                    + float(dv @ dv))) / step
         params = trial
-        active = warm
         fvals.append(fe.value)
         gnorms.append(theta_norm)
         halvings.append(n_halved)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -36,7 +36,8 @@ _HESSIAN_CHUNK = 64
 
 @dataclass(frozen=True)
 class RegularityConstants:
-    """Curvature bounds of V.
+    """Curvature bounds of V, coerced to float and checked at construction:
+    L and L_root must be positive and finite, or it raises ``ValueError``.
 
     Attributes:
         ell: lower curvature bound of the leaf Hessian block (ℓ).
@@ -45,38 +46,34 @@ class RegularityConstants:
             interaction (the root-domination constant ℓ').
         L_root: stored as 2·sup ∂²V/∂z₁² so it plugs directly into the spike
             component α₁ = L_root^{-1/2} and the step size.
-        warnings: non-fatal issues (e.g. "root domination violated").
+        warnings: one message per lower bound that is not positive and
+            finite, derived at construction (``dataclasses.replace`` too).
     """
 
     ell: float
     L: float
     ell_root: float
     L_root: float
-    warnings: tuple[str, ...] = ()
+    warnings: tuple[str, ...] = field(init=False)
+
+    def __post_init__(self):
+        for name in ("ell", "L", "ell_root", "L_root"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        if not (0 < self.L < math.inf and 0 < self.L_root < math.inf):
+            raise ValueError(f"curvature upper bounds L = {self.L} and L_root"
+                             f" = {self.L_root} must be positive and finite")
+        warnings = []
+        if not 0 < self.ell < math.inf:
+            warnings.append("leaf curvature lower bound nonpositive")
+        if not 0 < self.ell_root < math.inf:
+            warnings.append("root domination violated (ell_root <= 0)")
+        object.__setattr__(self, "warnings", tuple(warnings))
 
     def spike(self, d: int) -> np.ndarray:
         """Spike vector alpha = (L_root^{-1/2}, L^{-1/2}, ..., L^{-1/2})."""
-        if not (self.L_root > 0 and self.L > 0):
-            raise ValueError("spike requires positive curvature upper bounds")
         alpha = np.full(d, 1.0 / np.sqrt(self.L))
         alpha[0] = 1.0 / np.sqrt(self.L_root)
         return alpha
-
-
-def _check_constants(ell, L, ell_root, L_root):
-    if not (0 < L < math.inf and 0 < L_root < math.inf):
-        raise ValueError(f"curvature upper bounds L = {L} and L_root = "
-                         f"{L_root} must be positive and finite")
-    warnings = []
-    if not np.isfinite(ell) or ell <= 0:
-        warnings.append("leaf curvature lower bound nonpositive")
-    if not np.isfinite(ell_root) or ell_root <= 0:
-        warnings.append("root domination violated (ell_root <= 0)")
-    return RegularityConstants(
-        ell=float(ell), L=float(L), ell_root=float(ell_root),
-        L_root=float(L_root),
-        warnings=tuple(warnings),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +159,7 @@ class GaussianTarget(TargetPotential):
         cross = P[0, 1:]
         ell_root = P[0, 0] - float(cross @ cross) / ell
         L_root = 2.0 * P[0, 0]
-        return _check_constants(ell, L, ell_root, L_root)
+        return RegularityConstants(ell, L, ell_root, L_root)
 
 
 # ---------------------------------------------------------------------------
@@ -269,19 +266,18 @@ class _GlmTarget(TargetPotential):
             raise ValueError("dispersion must be positive and finite")
         if psi_lower is not None and not 0 < psi_lower < math.inf:
             raise ValueError("psi_lower must be positive and finite")
-        if isinstance(family, str):
-            if family not in LOG_PARTITIONS:
-                raise ValueError(f"unknown log_partition: {family}")
-            family = LOG_PARTITIONS[family]
-        elif not isinstance(family, LogPartition):
+        if not isinstance(family, str):
             raise FieldTypeError("log_partition", f"must be one of "
                                  f"{sorted(LOG_PARTITIONS)}, got {family!r}")
+        if family not in LOG_PARTITIONS:
+            raise ValueError(f"unknown log_partition: {family}")
+        family = LOG_PARTITIONS[family]
         self.X = X
         self.y = y
         self.family = family
         self.c = float(dispersion)
         self.psi_lower = psi_lower
-        with np.errstate(over="ignore"):  # _check_constants reports it
+        with np.errstate(over="ignore"):  # RegularityConstants reports it
             self.A = X.T @ X / self.c
             self.w = X.T @ y / self.c
         self._sufficient = family.name == "linear"
@@ -325,7 +321,8 @@ class _GlmTarget(TargetPotential):
                 f"log_partition '{self.family.name}' has no known curvature "
                 f"bound on ψ''; {hint}pass a RegularityConstants as consts")
         eigs = np.linalg.eigvalsh(self.A)
-        return _check_constants(*self._constants(b, B, eigs.min(), eigs.max()))
+        return RegularityConstants(
+            *self._constants(b, B, eigs.min(), eigs.max()))
 
     def _constants(self, b, B, a_lo, a_hi):
         """(ell, L, ell_root, L_root) given b ≤ ψ'' ≤ B and

@@ -7,6 +7,7 @@ import ssvi
 from ssvi.diagnostics import (DiagnosticsError, _conditional_sample,
                               check_residual_settings)
 from ssvi.gaussian_oracle import ssvi_gaussian
+from ssvi.starmap import _map_1d, leaf_profile
 
 
 def richardson(f, z, h=1e-4):
@@ -16,13 +17,29 @@ def richardson(f, z, h=1e-4):
     return (4.0 * d2 - d1) / 3.0
 
 
+def reference_sample(params, spec, z1, rng, mc_n, skip=None):
+    """The fitted measure given Z₁ = z₁, one leaf at a time: fresh normals
+    through each leaf's effective 1-D map (``leaf_profile``) at the scalar
+    root inverse.  ``skip`` leaves one column NaN and draws nothing for
+    it."""
+    x1 = ssvi.invert_root(params, spec, float(z1))
+    Z = np.full((mc_n, spec.d), np.nan)
+    Z[:, 0] = z1
+    for i in range(1, spec.d):
+        if i != skip:
+            mu, const = leaf_profile(params, spec, i, x1)
+            Z[:, i] = _map_1d(spec, params.alpha[i], mu, const,
+                              rng.standard_normal(mc_n))[0]
+    return Z
+
+
 def reference_residuals(params, spec, target, rep, mc_n, seed):
     """Residuals at ``rep``'s grid points from finite-difference scores of
     the pushforward log-densities, on the same Monte Carlo draws."""
     root = []
     for gi, z1 in enumerate(rep.root_grid):
-        Z, _ = _conditional_sample(params, spec, z1,
-                                   np.random.default_rng([seed, gi]), mc_n)
+        Z = reference_sample(params, spec, z1,
+                             np.random.default_rng([seed, gi]), mc_n)
         root.append(richardson(
             lambda z: ssvi.root_marginal_logdensity(params, spec, z), z1)
             + target.grad(Z)[:, 0].mean())
@@ -30,9 +47,9 @@ def reference_residuals(params, spec, target, rep, mc_n, seed):
     for i, pts in enumerate(rep.leaf_grids, start=1):
         res = []
         for gi, (z1, zi) in enumerate(pts):
-            Z, _ = _conditional_sample(params, spec, z1,
-                                       np.random.default_rng([seed, i, gi]),
-                                       mc_n, skip=i)
+            Z = reference_sample(params, spec, z1,
+                                 np.random.default_rng([seed, i, gi]),
+                                 mc_n, skip=i)
             Z[:, i] = zi
             res.append(richardson(
                 lambda z: ssvi.leaf_conditional_logdensity(params, spec, i,
@@ -96,6 +113,24 @@ class TestSelfConsistency:
                                              seed=0)
         assert rep.worst_normalized < 1e-6
 
+    @pytest.mark.parametrize("d", [2, 4, 10])
+    @pytest.mark.parametrize("skip", [None, 1])
+    def test_conditional_sample_matches_the_per_leaf_maps(self, d, skip):
+        rng = np.random.default_rng(d)
+        spec = ssvi.build_dictionary(d, 2.0, 0.5)
+        lam = rng.uniform(0.0, 0.3, spec.p)
+        free = ~spec.constrained
+        lam[free] = rng.normal(0.0, 0.1, free.sum())
+        params = ssvi.StarMapParams(rng.uniform(0.8, 1.2, d), lam,
+                                    rng.normal(0.0, 0.3, d))
+        for z1 in (-6.0, -0.4, 0.0, 1.7, 6.0):  # both tails and the box
+            x1 = ssvi.invert_root(params, spec, z1)
+            got = _conditional_sample(params, spec, z1, x1,
+                                      np.random.default_rng(7), 300, skip)
+            want = reference_sample(params, spec, z1,
+                                    np.random.default_rng(7), 300, skip)
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+
     def test_small_mc_rejected(self, gauss3_target, oracle_fit3):
         spec, params = oracle_fit3
         with pytest.raises(DiagnosticsError, match="mc_n"):
@@ -146,14 +181,35 @@ class TestApproximationBound:
             star=ssvi_gaussian(gauss3_target.mean, gauss3_target.cov))
         assert cert.kl_exact <= cert.rhs + 5 * cert.std_error
 
-    def test_unverified_when_root_domination_fails(self, gauss3_target):
+    def test_unverified_when_root_domination_fails(self, gauss3_target,
+                                                   oracle_fit3, monkeypatch):
+        # the certificate is unverified before any sample is drawn: the
+        # target's Hessian is never evaluated
         consts = dataclasses.replace(gauss3_target.regularity_constants(),
                                      ell_root=-1.0)
-        cert = ssvi.approximation_bound(
-            gauss3_target, consts, mc_n=500, seed=0,
-            star=ssvi_gaussian(gauss3_target.mean, gauss3_target.cov))
-        assert not cert.assumptions_verified
-        assert np.isnan(cert.rhs)
+        spec, params = oracle_fit3
+
+        def spy(z):
+            raise AssertionError("hessian evaluated for unverified constants")
+
+        monkeypatch.setattr(gauss3_target, "hessian", spy)
+        for source in (dict(params=params, spec=spec),
+                       dict(star=ssvi_gaussian(gauss3_target.mean,
+                                               gauss3_target.cov))):
+            cert = ssvi.approximation_bound(gauss3_target, consts, mc_n=500,
+                                            seed=0, **source)
+            assert not cert.assumptions_verified
+            assert np.isnan(cert.rhs) and np.isnan(cert.std_error)
+
+    def test_arguments_checked_before_the_constants(self, gauss3_target,
+                                                    oracle_fit3):
+        consts = dataclasses.replace(gauss3_target.regularity_constants(),
+                                     ell_root=-1.0)
+        _, params = oracle_fit3
+        with pytest.raises(ValueError, match="spec required"):
+            ssvi.approximation_bound(gauss3_target, consts, params=params)
+        with pytest.raises(ValueError, match="need fitted params"):
+            ssvi.approximation_bound(gauss3_target, consts)
 
 
 class TestL2Distance:

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import ssvi
+from ssvi.dictionary import FieldTypeError
 from ssvi.targets import (LOG_PARTITIONS, mixture_neglog,
                           mixture_neglog_deriv, mixture_neglog_deriv2)
 
@@ -136,6 +139,49 @@ class TestGaussianTarget:
         assert np.allclose(alpha[1:], 1.0 / np.sqrt(c.L))
 
 
+class TestRegularityConstants:
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
+    @pytest.mark.parametrize("field", ["L", "L_root"])
+    def test_upper_bounds_checked_at_construction(self, field, bad):
+        kwargs = dict(ell=0.5, L=2.0, ell_root=0.5, L_root=4.0)
+        kwargs[field] = bad
+        with pytest.raises(ValueError, match="^curvature upper bounds L = "
+                           ".* must be positive and finite$"):
+            ssvi.RegularityConstants(**kwargs)
+
+    def test_fields_are_floats(self):
+        c = ssvi.RegularityConstants(1, np.float64(2.0), np.int64(1), 4)
+        assert all(type(getattr(c, f)) is float
+                   for f in ("ell", "L", "ell_root", "L_root"))
+        assert c == ssvi.RegularityConstants(1.0, 2.0, 1.0, 4.0)
+
+    @pytest.mark.parametrize("ell, ell_root, expect", [
+        (0.5, 0.5, ()),
+        (0.0, 0.5, ("leaf curvature lower bound nonpositive",)),
+        (np.inf, 0.5, ("leaf curvature lower bound nonpositive",)),
+        (0.5, -np.inf, ("root domination violated (ell_root <= 0)",)),
+        (np.nan, np.nan, ("leaf curvature lower bound nonpositive",
+                          "root domination violated (ell_root <= 0)")),
+    ])
+    def test_warnings_derived_from_the_lower_bounds(self, ell, ell_root,
+                                                    expect):
+        assert ssvi.RegularityConstants(ell, 2.0, ell_root, 4.0).warnings \
+            == expect
+
+    def test_replace_recomputes_warnings(self, gauss3_target):
+        c = gauss3_target.regularity_constants()
+        assert c.warnings == ()
+        bad = dataclasses.replace(c, ell_root=-1.0)
+        assert bad.warnings == ("root domination violated (ell_root <= 0)",)
+        assert dataclasses.replace(bad, ell_root=c.ell_root) == c
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            dataclasses.replace(c, L=np.nan)
+
+    def test_warnings_are_not_an_argument(self):
+        with pytest.raises(TypeError):
+            ssvi.RegularityConstants(0.5, 2.0, 0.5, 4.0, ())
+
+
 @pytest.fixture(scope="module")
 def glm_target():
     rng = np.random.default_rng(42)
@@ -200,8 +246,10 @@ class TestGlmLocationTarget:
         with pytest.raises(ValueError, match="^log_partition 'poisson' .*; "
                            "pass a RegularityConstants as consts$"):
             t.regularity_constants()
-        # constants the family cannot derive reach a fit as consts
-        consts = ssvi.RegularityConstants(0.5, 2.0, 0.5, 4.0)
+        # constants the family cannot derive reach a fit and the
+        # certificate as consts, built as the README builds them
+        consts = ssvi.RegularityConstants(ell=0.5, L=2.0, ell_root=0.5,
+                                          L_root=4.0)
         spec = ssvi.build_dictionary(t.d, 2.0, 1.0)
         res = ssvi.run_pgd(t, spec, ssvi.gram_matrix(spec),
                            ssvi.PgdConfig(step_size=0.1, max_iters=3,
@@ -210,6 +258,16 @@ class TestGlmLocationTarget:
         assert np.array_equal(res.params.alpha, consts.spike(t.d))
         assert res.iterations == 3
         assert np.isfinite(res.free_energy_trace).all()
+        cert = ssvi.approximation_bound(t, consts, mc_n=500, seed=0,
+                                        params=res.params, spec=spec)
+        assert cert.assumptions_verified
+        assert np.isfinite(cert.rhs) and cert.rhs >= 0.0
+
+    def test_log_partition_is_a_name(self):
+        X, y = np.eye(2), np.ones(2)
+        with pytest.raises(FieldTypeError, match="^log_partition: must be "
+                           "one of"):
+            ssvi.GlmLocationTarget(X, y, family=LOG_PARTITIONS["linear"])
 
     def test_logistic_uses_stable_log_partition(self):
         psi = LOG_PARTITIONS["logistic"]
