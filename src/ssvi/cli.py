@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .blas import one_thread
 from .dictionary import (ORDERING_VERSION, FieldTypeError, build_dictionary,
-                         gram_matrix)
+                         check_keys, gram_matrix)
 from .diagnostics import (DiagnosticsError, approximation_bound,
                           check_residual_settings, pushforward_moments,
                           self_consistency_residual)
@@ -52,9 +52,7 @@ def _load_config(args):
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
-    unknown = set(cfg) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    check_keys(cfg, _TOP_KEYS, "config keys", ConfigError)
     cfg["seed"] = seed = cfg.get("seed", 0) if args.seed is None else args.seed
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ConfigError(f"seed: must be a nonnegative integer, got {seed!r}")
@@ -79,12 +77,6 @@ def _section(cfg, name, build, optional=False):
         raise ConfigError(f"{name}: {exc}") from exc
 
 
-def _known(block, keys):
-    unknown = set(block) - keys
-    if unknown:
-        raise ValueError(f"unknown keys {sorted(unknown)}")
-
-
 def _target(cfg, gaussian=False):
     """The target and its regularity constants."""
     def build(block):
@@ -97,7 +89,7 @@ def _target(cfg, gaussian=False):
 
 def _dictionary(cfg, d):
     def build(block):
-        _known(block, {"R", "delta"})
+        check_keys(block, {"R", "delta"})
         return build_dictionary(d, block["R"], block["delta"])
     return _section(cfg, "dictionary", build)
 
@@ -113,7 +105,7 @@ def _pgd_config(cfg, **flags):
 def _diagnostics(cfg, args):
     """(grid_sizes, mc_n, params_path); ``--mc-samples`` wins over mc_n."""
     def build(block):
-        _known(block, {"grid_sizes", "mc_n", "params_path"})
+        check_keys(block, {"grid_sizes", "mc_n", "params_path"})
         grid_sizes = block.get("grid_sizes", 9)
         mc_n = (args.mc_samples if args.mc_samples is not None
                 else block.get("mc_n", 2000))

@@ -95,15 +95,21 @@ def _conditional_sample(params, spec, z1, x1, rng, mc_n, skip=None):
     return Z
 
 
+def _integer(n, least):  # a bool is an Integral, but not a size
+    return isinstance(n, Integral) and not isinstance(n, bool) and n >= least
+
+
+def _check_mc_n(mc_n, least=2):  # a mean and its std error need two draws
+    if not _integer(mc_n, least):
+        raise DiagnosticsError(
+            f"mc_n must be an integer ≥ {least}, got {mc_n!r}")
+
+
 def check_residual_settings(grid_sizes, mc_n):
     """(n_root, n_leaf) from one positive integer or a pair; mc_n ≥ 100."""
-    def integer(n):  # a bool is an Integral, but not a size
-        return isinstance(n, Integral) and not isinstance(n, bool)
-
-    if not integer(mc_n) or mc_n < 100:
-        raise DiagnosticsError(f"mc_n must be an integer ≥ 100, got {mc_n!r}")
+    _check_mc_n(mc_n, 100)
     sizes = [grid_sizes] * 2 if np.isscalar(grid_sizes) else list(grid_sizes)
-    if len(sizes) != 2 or not all(integer(n) and n >= 1 for n in sizes):
+    if len(sizes) != 2 or not all(_integer(n, 1) for n in sizes):
         raise DiagnosticsError("grid_sizes must be a positive integer or a "
                                f"pair of them, got {grid_sizes!r}")
     return sizes
@@ -111,7 +117,8 @@ def check_residual_settings(grid_sizes, mc_n):
 
 def pushforward_moments(params, spec, mc_n, seed):
     """MC mean/covariance of the pushforward, with entrywise std errors."""
-    X = np.random.default_rng(seed).standard_normal((int(mc_n), spec.d))
+    _check_mc_n(mc_n)
+    X = np.random.default_rng(seed).standard_normal((mc_n, spec.d))
     Z = forward(params, spec, X).Z
     n = len(Z)
     mean = Z.mean(axis=0)
@@ -217,24 +224,25 @@ def approximation_bound(target, consts, mc_n=5000, seed=0, params=None,
         raise ValueError("spec required with params")
     if params is None and star is None:
         raise ValueError("need fitted params or a closed-form star measure")
+    _check_mc_n(mc_n)
     if consts.warnings:
         return BoundCertificate(np.nan, np.nan, assumptions_verified=False)
 
     d = target.d
     rng = np.random.default_rng(seed)
     if params is not None:
-        X = rng.standard_normal((int(mc_n), d))
+        X = rng.standard_normal((mc_n, d))
         Z = forward(params, spec, X).Z
     else:
         L = np.linalg.cholesky(star.cov)
-        Z = star.mean + rng.standard_normal((int(mc_n), d)) @ L.T
+        Z = star.mean + rng.standard_normal((mc_n, d)) @ L.T
 
     H = target.hessian(Z)
     iu, ju = np.triu_indices(d - 1, k=1)
     S = np.sum(H[:, iu + 1, ju + 1] ** 2, axis=1) if iu.size else \
         np.zeros(len(Z))
     mean_s = float(S.mean())
-    se_s = float(S.std(ddof=1) / np.sqrt(mc_n)) if len(S) > 1 else 0.0
+    se_s = float(S.std(ddof=1) / np.sqrt(mc_n))
 
     c = consts.L_root / (2.0 * consts.ell_root * consts.ell ** 2)
     rhs = c * mean_s
@@ -258,7 +266,8 @@ def l2_map_distance(params_a, params_b, spec, mc_n=10000, seed=0):
     Either argument may be fitted parameters or any callable mapping a
     batch (n, d) to (n, d) (e.g. a closed-form map).
     """
-    X = np.random.default_rng(seed).standard_normal((int(mc_n), spec.d))
+    _check_mc_n(mc_n)
+    X = np.random.default_rng(seed).standard_normal((mc_n, spec.d))
 
     def ev(p):
         if isinstance(p, StarMapParams):

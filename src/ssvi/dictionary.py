@@ -90,7 +90,7 @@ def _block_factors(N):
 
 
 # ---------------------------------------------------------------------------
-# Checked numbers (shared with the target constructors)
+# Checked inputs (shared with the targets, the optimizer and the CLI)
 # ---------------------------------------------------------------------------
 
 class FieldTypeError(TypeError):
@@ -111,6 +111,13 @@ def check_number(field, value, kind=Real, optional=False):
     if isinstance(value, bool) or not isinstance(value, kind):
         noun = "an integer" if kind is Integral else "a real number"
         raise FieldTypeError(field, f"must be {noun}, got {value!r}")
+
+
+def check_keys(block, allowed, what="keys", error=ValueError):
+    """Raise ``error`` naming the keys of ``block`` not in ``allowed``."""
+    unknown = set(block) - set(allowed)
+    if unknown:
+        raise error(f"unknown {what}: {sorted(unknown)}")
 
 
 # ---------------------------------------------------------------------------
@@ -378,12 +385,15 @@ def _compute_gram(spec: DictionarySpec):
     with M the rule's second moments and c = ``spec.centering``."""
     V, w = _factor_rule(spec)
     M = (V * w) @ V.T
+    M = 0.5 * (M + M.T)  # so every block is exactly symmetric
     blocks = []
     for idx, (f, g) in zip((np.arange(spec.N), spec.leaf_index[0]),
                            _block_factors(spec.N)):
         c = spec.centering[idx]
-        Q = M[np.ix_(f, f)] * M[np.ix_(g, g)] - np.outer(c, c)
-        blocks.append(0.5 * (Q + Q.T))
+        Q = M[np.ix_(f, f)]
+        Q *= M[np.ix_(g, g)]
+        Q -= np.outer(c, c)
+        blocks.append(Q)
     return tuple(blocks)
 
 

@@ -12,8 +12,8 @@ The free-energy reduction is exact: error-free extraction splits the terms
 into parts whose sums numpy computes without rounding, and math.fsum rounds
 their total once.  It gives the bits of math.fsum over the terms (correctly
 rounded), which makes F̂ bit-equal under any permutation of the sample;
-gradient reductions run in a fixed order (row by row within each chunk of
-CHUNK samples, then chunk by chunk, and in-order bincounts).
+gradient reductions run in a fixed order: column sums that add the rows in
+sample order, and one in-order bincount pass per coefficient table.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ import numpy as np
 
 from .starmap import (ConeViolationError, SampleGrid, _ForwardState, forward,
                       sample_grid)
-
-CHUNK = 1024  # documented reduction chunk size for per-sample partials
 
 
 class TargetOverflowError(RuntimeError):
@@ -46,6 +44,11 @@ class SaaSample:
     # differ in X.
     _grids: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
+
+    def __post_init__(self):
+        if np.shape(self.X) != (self.n, self.d):
+            raise ValueError(f"X has shape {np.shape(self.X)}, not "
+                             f"(n, d) = ({self.n}, {self.d})")
 
     @classmethod
     def build(cls, seed, n, d):
@@ -130,18 +133,9 @@ def free_energy(params, spec, target, sample) -> FreeEnergyReport:
     return FreeEnergyReport(pot + ent, pot, ent, se, st)
 
 
-def _chunked_mean(arr):
-    """Mean along axis 0: the rows of each CHUNK-row chunk are added in
-    order, then the chunk totals in order."""
-    n = arr.shape[0]
-    total = np.zeros(arr.shape[1:])
-    for start in range(0, n, CHUNK):
-        total = total + arr[start:start + CHUNK].sum(axis=0)
-    return total / n
-
-
-def _ramp_sums(cell, f, weights, shape):
-    """Σ_s weights_s · ψ_m(x_s) for every ramp m, binned by ``cell``.
+def _ramp_sums(cell, f, weights, shape, at=0.0):
+    """Σ_s weights_s · ψ_m(x_s) for every ramp m, binned by ``cell``, plus
+    ``at``_s on the sample's own cell only.
 
     The ramp ψ_m(x) = clip((x − b_m)/δ, 0, 1) is 1 below the grid cell k of
     x, f (the position inside the cell) at it and 0 above, so one bin per
@@ -150,7 +144,8 @@ def _ramp_sums(cell, f, weights, shape):
     """
     size = math.prod(shape)
     full = np.bincount(cell, weights=weights, minlength=size).reshape(shape)
-    out = np.bincount(cell, weights=weights * f, minlength=size).reshape(shape)
+    out = np.bincount(cell, weights=weights * f + at,
+                      minlength=size).reshape(shape)
     out[..., :-1] += np.cumsum(full[..., :0:-1], axis=-1)[..., ::-1]
     return out
 
@@ -177,29 +172,24 @@ def gradient(params, spec, target, sample, state=None):
     N, d = spec.N, spec.d
     inv_delta = 1.0 / spec.delta
     gV = target.grad(st.Z)
-    mean_gV = _chunked_mean(gV)
-    grad_v = mean_gV
+    grad_v = gV.sum(axis=0) / n
 
+    # the entropy trace enters each table on the active cell only
     glam = np.empty(spec.p)
-    sel = g.inbox1
-    glam[:N] = (_ramp_sums(g.k1, g.f1, gV[:, 0], (N,))
-                - np.bincount(g.k1[sel], weights=inv_delta / st.diag[sel, 0],
-                              minlength=N)) / n
+    glam[:N] = _ramp_sums(g.k1, g.f1, gV[:, 0], (N,),
+                          at=-(g.inbox1 * inv_delta / st.diag[:, 0])) / n
 
     shape = (2 * N + 2, N)
     for li in range(d - 1):
         i = li + 1
         gvi = gV[:, i]
         fi, ia = g.fi[li], g.ia[li]
-        # entropy trace: only the active (row, leaf ramp) cell contributes
         wt = g.inboxi[li] * inv_delta / st.diag[:, i]
-        pot = tr = 0.0
-        for cell, w in ((ia, g.w_a), (ia + g.step, g.w_b)):
-            pot = pot + _ramp_sums(cell, fi, w * gvi, shape).ravel()
-            tr = tr + np.bincount(cell, weights=w * wt, minlength=pot.size)
+        pot = sum(_ramp_sums(cell, fi, w * gvi, shape, at=-w * wt).ravel()
+                  for cell, w in ((ia, g.w_a), (ia + g.step, g.w_b)))
         # M5: pure root column, zero entropy contribution
         glam[spec.leaf_index[li]] = np.concatenate(
-            [pot - tr, _ramp_sums(g.k1, g.f1, gvi, (N,))]) / n
+            [pot, _ramp_sums(g.k1, g.f1, gvi, (N,))]) / n
 
-    glam -= spec.centering * mean_gV[spec.coord]
+    glam -= spec.centering * grad_v[spec.coord]
     return glam, grad_v

@@ -34,7 +34,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .blas import one_thread
-from .dictionary import check_number
+from .dictionary import check_keys, check_number
 from .objective import SaaSample, TargetOverflowError, free_energy, gradient
 from .starmap import ConeViolationError, StarMapParams
 
@@ -75,10 +75,7 @@ class PgdConfig:
 
     @classmethod
     def from_dict(cls, block):
-        allowed = {f for f in cls.__dataclass_fields__}
-        unknown = set(block) - allowed
-        if unknown:
-            raise ValueError(f"unknown optimizer config keys: {sorted(unknown)}")
+        check_keys(block, cls.__dataclass_fields__, "optimizer config keys")
         return cls(**block)
 
 
@@ -292,6 +289,9 @@ def run_pgd(target, spec, gram, config: PgdConfig, consts=None,
             ) -> FitResult:
     """Fit by PGD with both BLAS pools at one thread (restored on exit,
     also when the fit raises)."""
+    if gram.spec.metadata() != spec.metadata():
+        raise ValueError(f"the Gram matrix is of the dictionary "
+                         f"{gram.spec.metadata()}, not of {spec.metadata()}")
     if consts is None:
         consts = target.regularity_constants()
     L = max(consts.L, consts.L_root / 2.0)

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import expit, log_expit
 
-from .dictionary import FieldTypeError, check_number
+from .dictionary import FieldTypeError, check_keys, check_number
 
 # Points per batched matmul in the non-linear GLM data Hessian.
 _HESSIAN_CHUNK = 64
@@ -598,9 +598,7 @@ def target_from_json(block):
     family = block.get("family")
     if family not in _TARGET_KEYS:
         raise ValueError(f"unknown target family: {family}")
-    unknown = set(block) - _TARGET_KEYS[family]
-    if unknown:
-        raise ValueError(f"unknown target keys: {sorted(unknown)}")
+    check_keys(block, _TARGET_KEYS[family], "target keys")
     if family == "gaussian":
         return GaussianTarget(block["mean"], block["cov"])
     if "design" in block:

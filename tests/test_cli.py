@@ -297,10 +297,16 @@ BOTH = ("fit", "diagnose")
                              "design_csv": str(tmp / "missing.csv"),
                              "response": [1.0, 0.0]}}, "target", BOTH),
     ({"target": dict(SPIKE_SLAB, debias_precison=5.0)}, "target", BOTH),
+    ({"dictionary": {"R": 2.0, "delta": 1.0, "detla": 1.0}}, "dictionary",
+     BOTH),
+    ({"optimizer": {"step": 0.5}}, "optimizer", BOTH),
+    ({"diagnostics": {"mc_m": 100}}, "diagnostics", ("diagnose",)),
 ], ids=["optimizer-not-object", "diagnostics-not-object", "mc-n-string",
         "mc-n-small", "grid-sizes-zero", "grid-sizes-bool", "seed-string",
         "dictionary-R-string", "max-iters-float", "tol-string", "eta-string",
-        "output-dir-number", "missing-design-csv", "target-key-typo"])
+        "output-dir-number", "missing-design-csv", "target-key-typo",
+        "dictionary-key-typo", "optimizer-key-typo",
+        "diagnostics-key-typo"])
 def test_malformed_config_exits_2_before_any_work(
         tmp_path, monkeypatch, capsys, overrides, section, commands):
     import ssvi.cli

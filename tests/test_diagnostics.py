@@ -9,6 +9,9 @@ from ssvi.diagnostics import (DiagnosticsError, _conditional_sample,
 from ssvi.gaussian_oracle import ssvi_gaussian
 from ssvi.starmap import _map_1d, leaf_profile
 
+# a Monte Carlo std error needs an integer of at least two draws
+BAD_MC_N = (0, 1, 2.5, True)
+
 
 def richardson(f, z, h=1e-4):
     """Central-difference derivative with one Richardson level."""
@@ -205,11 +208,27 @@ class TestApproximationBound:
                                                     oracle_fit3):
         consts = dataclasses.replace(gauss3_target.regularity_constants(),
                                      ell_root=-1.0)
-        _, params = oracle_fit3
+        spec, params = oracle_fit3
         with pytest.raises(ValueError, match="spec required"):
             ssvi.approximation_bound(gauss3_target, consts, params=params)
         with pytest.raises(ValueError, match="need fitted params"):
             ssvi.approximation_bound(gauss3_target, consts)
+        for source in (dict(params=params, spec=spec),
+                       dict(star=ssvi_gaussian(gauss3_target.mean,
+                                               gauss3_target.cov))):
+            for mc_n in BAD_MC_N:
+                with pytest.raises(DiagnosticsError, match="mc_n"):
+                    ssvi.approximation_bound(gauss3_target, consts,
+                                             mc_n=mc_n, **source)
+
+
+@pytest.mark.parametrize("mc_n", BAD_MC_N)
+def test_sampled_diagnostics_need_two_draws(oracle_fit3, mc_n):
+    spec, params = oracle_fit3
+    with pytest.raises(DiagnosticsError, match="mc_n"):
+        ssvi.l2_map_distance(params, params, spec, mc_n=mc_n)
+    with pytest.raises(DiagnosticsError, match="mc_n"):
+        ssvi.pushforward_moments(params, spec, mc_n, 0)
 
 
 class TestL2Distance:

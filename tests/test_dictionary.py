@@ -198,6 +198,7 @@ class TestGram:
     def test_inv_norm_of_every_block_to_1e_8(self, d, R, delta):
         gram = ssvi.gram_matrix(ssvi.build_dictionary(d, R, delta))
         for Qb in (gram.Q_root, gram.Q_leaf):
+            assert np.array_equal(Qb, Qb.T)  # symmetric by construction
             # with Qb as both blocks, ‖Q⁻¹‖₂ is 1/λ_min(Qb)
             got = GramMatrix(gram.spec, Qb, Qb).inv_norm
             want = 1.0 / np.linalg.eigvalsh(Qb)[0]

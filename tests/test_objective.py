@@ -32,6 +32,13 @@ class TestSaaSample:
         with pytest.raises(ValueError):
             SaaSample.build(0, 0, 2)
 
+    def test_rejects_x_not_of_shape_n_by_d(self):
+        # 50 rows under n = 100 would halve every sample mean
+        X = SaaSample.build(0, 100, 2).X
+        for bad in (X[:50], X[:, :1], np.hstack([X, X]), X.ravel()):
+            with pytest.raises(ValueError, match=r"not \(n, d\)"):
+                SaaSample(0, 100, 2, bad)
+
 
 class TestFreeEnergy:
     def test_identity_map_standard_normal(self, gauss3_target, spec3,
@@ -88,13 +95,21 @@ class TestGradient:
         w = rng.normal(size=500)
         got = _ramp_sums(st.grid.k1, st.grid.f1, w, (spec3.N,))
         np.testing.assert_allclose(got, ramps.T @ w, rtol=1e-12, atol=1e-12)
+        # an own-cell term adds at[s] to sample s's cell (clipped off-box)
+        at = rng.normal(size=500)
+        cells = np.zeros((500, spec3.N))
+        cells[np.arange(500), st.grid.k1] = 1.0
+        got = _ramp_sums(st.grid.k1, st.grid.f1, w, (spec3.N,), at=at)
+        np.testing.assert_allclose(got, ramps.T @ w + cells.T @ at,
+                                   rtol=1e-12, atol=1e-12)
         group = rng.integers(0, 3, 500)
         got = _ramp_sums(group * spec3.N + st.grid.k1, st.grid.f1, w,
-                         (3, spec3.N))
+                         (3, spec3.N), at=at)
         for j in range(3):
-            np.testing.assert_allclose(got[j], ramps[group == j].T
-                                       @ w[group == j], rtol=1e-12,
-                                       atol=1e-12)
+            in_j = group == j
+            np.testing.assert_allclose(
+                got[j], ramps[in_j].T @ w[in_j] + cells[in_j].T @ at[in_j],
+                rtol=1e-12, atol=1e-12)
 
     def test_matches_finite_differences(self, gauss3_target, spec3, sample3):
         rng = np.random.default_rng(3)
@@ -161,6 +176,11 @@ class TestGradient:
         glam0, gv0 = gradient(params, spec3, gauss3_target, sample3)
         assert np.array_equal(glam, glam0)
         assert np.array_equal(gv, gv0)
+        # grad_v adds the rows of ∇V in sample order, one at a time
+        total = np.zeros(spec3.d)
+        for row in gauss3_target.grad(fe.state.Z):
+            total = total + row
+        assert np.array_equal(gv, total / sample3.n)
 
 
 def _outcome(fn, values):

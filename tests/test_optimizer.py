@@ -409,6 +409,16 @@ class TestRunPgd:
         assert np.array_equal(res.params.lam, res2.params.lam)
         assert np.array_equal(res.free_energy_trace, res2.free_energy_trace)
 
+    def test_rejects_the_gram_of_another_dictionary(self, gauss2_target):
+        # (2, 4, 1/2) and (2, 2, 1/4) both have p = 576
+        spec = ssvi.build_dictionary(2, 4.0, 0.5)
+        other = ssvi.build_dictionary(2, 2.0, 0.25)
+        assert spec.p == other.p
+        cfg = PgdConfig(step_size=0.5, max_iters=1, n_samples=1000, seed=0)
+        with pytest.raises(ValueError, match="Gram matrix is of the "
+                                             "dictionary"):
+            run_pgd(gauss2_target, spec, ssvi.gram_matrix(other), cfg)
+
     def test_default_step_size_is_tiny_but_valid(self, gauss2_target):
         spec = ssvi.build_dictionary(2, 2.0, 1.0)
         gram = ssvi.gram_matrix(spec)
