@@ -76,17 +76,17 @@ def _factor_rule(spec):
     return V, w
 
 
-def _block_factors(N):
-    """(f, g) rows of V for each basis of the root block, then of one leaf
-    block, in canonical order: the basis is f(x_i)·g(x₁) on its coordinate
-    i.  M0 is f = root ramp m with g = const.  Leaf table row r (M1, M2 by
-    root cell, then M3, M4) pairs leaf ramp m with root factor 1+N+r, and
-    M5 is the constant with root ramp m."""
-    ramps = np.arange(1, N + 1)
-    root = ramps, np.zeros(N, int)
-    leaf = (np.r_[np.tile(ramps, 2 * N + 2), np.zeros(N, int)],
-            np.r_[np.repeat(np.arange(N + 1, 3 * N + 3), N), ramps])
-    return root, leaf
+def _block_layout(N):
+    """The bases of the root block, then of one leaf block, in canonical
+    order, as groups (g, f) of rows of V.  A group holds the len(g)·len(f)
+    bases f[m](x_i)·g[r](x₁), r-major, on the block's coordinate i.  The
+    root block is one group, M0: root ramp m times the constant.  A leaf
+    block is its table, leaf ramp m times root factor 1+N+r (row r: M1 and
+    M2 by root cell, then M3, M4), bordered by M5: the constant times root
+    ramp r."""
+    ramps, const = np.arange(1, N + 1), np.zeros(1, int)
+    return (((const, ramps),),
+            ((np.arange(N + 1, 3 * N + 3), ramps), (ramps, const)))
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +182,10 @@ class DictionarySpec:
         V, w = _factor_rule(self)
         mean = (V * w).sum(axis=1)
         self.centering = np.empty(self.p)
-        for idx, (f, g) in zip((np.arange(N), self.leaf_index),
-                               _block_factors(N)):
-            self.centering[idx] = mean[f] * mean[g]
+        for idx, groups in zip((np.arange(N), self.leaf_index),
+                               _block_layout(N)):
+            self.centering[idx] = np.hstack(
+                [np.outer(mean[g], mean[f]).ravel() for g, f in groups])
         self.constrained = np.ones(self.p, dtype=bool)
         self.constrained[self._off["M5"]:] = False
 
@@ -291,6 +292,11 @@ class GramMatrix:
     M0 coefficients, then d−1 identical leaf blocks ``Q_leaf``, one on each
     row of ``spec.leaf_index``.  Only the two distinct blocks and their
     Cholesky factors are stored, so memory does not grow with d.
+
+    Both blocks must be exactly symmetric, as ``_compute_gram`` builds
+    them; this is not checked (a check reads all m² entries).  Each is
+    factored through its transpose, the same numbers in Fortran order,
+    which LAPACK takes with a plain copy instead of a transposing one.
     """
 
     def __init__(self, spec: DictionarySpec, Q_root: np.ndarray,
@@ -299,8 +305,8 @@ class GramMatrix:
         self.Q_root = Q_root
         self.Q_leaf = Q_leaf
         try:
-            self._cho = {"root": cho_factor(Q_root, lower=True),
-                         "leaf": cho_factor(Q_leaf, lower=True)}
+            self._cho = {"root": cho_factor(Q_root.T, lower=True),
+                         "leaf": cho_factor(Q_leaf.T, lower=True)}
         except np.linalg.LinAlgError as exc:
             raise DictionaryDegenerateError(
                 "Gram matrix not positive definite") from exc
@@ -319,9 +325,12 @@ class GramMatrix:
         return out
 
     def solve(self, x):
-        """Q⁻¹ x via the cached block Cholesky factors."""
-        return self._by_block(x, lambda b: cho_solve(self._cho["root"], b),
-                              lambda b: cho_solve(self._cho["leaf"], b))
+        """Q⁻¹ x via the cached block Cholesky factors.  A non-finite x
+        raises ``ValueError``; the factors were checked when made."""
+        x = np.asarray_chkfinite(x, dtype=float)
+        return self._by_block(
+            x, partial(cho_solve, self._cho["root"], check_finite=False),
+            partial(cho_solve, self._cho["leaf"], check_finite=False))
 
     def matvec(self, x):
         """Q x, one product per block."""
@@ -380,19 +389,31 @@ def _inv_norm(cho):
 
 def _compute_gram(spec: DictionarySpec):
     """The two distinct blocks of Q: (Q_root, Q_leaf).  Under ρ a basis's
-    two factors are independent (for M0 one is the constant), so
+    two factors are independent (for M0 and M5 one is the constant), so
     E[f·g·f′·g′] = E[f f′]·E[g g′] and each block is M[f, f′]∘M[g, g′] − c cᵀ
-    with M the rule's second moments and c = ``spec.centering``."""
+    with M the rule's second moments and c = ``spec.centering``.  Between
+    two groups of ``_block_layout`` that is the Kronecker product
+    M[g, g′] ⊗ M[f, f′], written by broadcasting into a view of the block;
+    c cᵀ is subtracted in strips of N rows, so no other m×m array exists."""
     V, w = _factor_rule(spec)
     M = (V * w) @ V.T
     M = 0.5 * (M + M.T)  # so every block is exactly symmetric
     blocks = []
-    for idx, (f, g) in zip((np.arange(spec.N), spec.leaf_index[0]),
-                           _block_factors(spec.N)):
+    for idx, groups in zip((np.arange(spec.N), spec.leaf_index[0]),
+                           _block_layout(spec.N)):
         c = spec.centering[idx]
-        Q = M[np.ix_(f, f)]
-        Q *= M[np.ix_(g, g)]
-        Q -= np.outer(c, c)
+        Q = np.empty((c.size, c.size))
+        starts = np.cumsum([0] + [len(g) * len(f) for g, f in groups])
+        parts = list(zip(groups, starts, starts[1:]))
+        for (g, f), a, b in parts:
+            for (g2, f2), a2, b2 in parts:
+                # splitting both axes of a slice of Q is always a view
+                np.multiply(M[np.ix_(g, g2)][:, None, :, None],
+                            M[np.ix_(f, f2)][None, :, None, :],
+                            out=Q[a:b, a2:b2].reshape(len(g), len(f),
+                                                      len(g2), len(f2)))
+        for r in range(0, c.size, spec.N):
+            Q[r:r + spec.N] -= np.multiply.outer(c[r:r + spec.N], c)
         blocks.append(Q)
     return tuple(blocks)
 

@@ -163,6 +163,11 @@ def _project_block(z, Q, inverse, last, constrained, active):
     then costs O(|F|³ + m·|F|) when 3|F| <= m, since θ_A = 0 gives
     μ = Q[:, F]θ_F − Qz, and O(|F|³ + m²) otherwise; a W-side sweep costs
     O(|A|³ + m·|A| + m²).  None pays the cube on a reuse.
+
+    Q and W must be exactly symmetric, as ``GramMatrix`` keeps them.  The
+    gathered Q_FF or W_AA is factored as its transpose, the same numbers in
+    Fortran order, which LAPACK overwrites in place instead of factoring a
+    transposed copy.
     """
     m = z.size
     Qz = Q @ z
@@ -185,7 +190,7 @@ def _project_block(z, Q, inverse, last, constrained, active):
             S = F if free_side else A
             M = (Q if free_side else W)[np.ix_(S, S)]  # a copy: overwritable
             try:
-                cho = cho_factor(M, lower=True, overwrite_a=True,
+                cho = cho_factor(M.T, lower=True, overwrite_a=True,
                                  check_finite=False)
             except np.linalg.LinAlgError as exc:
                 raise OptimizerError("projection subproblem singular") from exc

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ssvi
-from ssvi import blas
+from ssvi import blas, dictionary
 
 
 @pytest.fixture(scope="session")
@@ -79,6 +79,42 @@ def dense_gram(gram):
     for idx in spec.leaf_index:
         Q[np.ix_(idx, idx)] = gram.Q_leaf
     return Q
+
+
+def factor_rows(spec, bid):
+    """Rows (f, g) of the 1-D factor table V of ``dictionary._factor_rule``
+    ([const, ramp_0.., up_0.., down_0.., hi, lo]) for the basis ``bid``,
+    f(x_i)·g(x₁) before centering; M0 is its root ramp times the constant."""
+    N = spec.N
+
+    def at(b):
+        return int(round((b + spec.R) / spec.delta))
+
+    if bid.cls == "M0":
+        return 1 + at(bid.b), 0
+    if bid.cls == "M5":
+        return 0, 1 + at(bid.b)
+    if bid.cls in ("M1", "M2"):
+        first = N + 1 if bid.cls == "M1" else 2 * N + 1
+        return 1 + at(bid.b), first + at(bid.bprime)
+    return 1 + at(bid.b), 3 * N + (1 if bid.cls == "M3" else 2)
+
+
+def reference_gram_blocks(spec):
+    """(Q_root, Q_leaf) by a gather per basis pair, M[f, f′]·M[g, g′] − c cᵀ
+    with M the rule's symmetrised second moments and c = mean[f]·mean[g]:
+    the reference the broadcast build of ``ssvi.gram_matrix`` is checked
+    against, bit for bit."""
+    V, w = dictionary._factor_rule(spec)
+    M = (V * w) @ V.T
+    M = 0.5 * (M + M.T)
+    mean = (V * w).sum(axis=1)
+    blocks = []
+    for idx in (np.arange(spec.N), spec.leaf_index[0]):
+        f, g = np.array([factor_rows(spec, spec.id_of(i)) for i in idx]).T
+        c = mean[f] * mean[g]
+        blocks.append(M[np.ix_(f, f)] * M[np.ix_(g, g)] - np.outer(c, c))
+    return tuple(blocks)
 
 
 @contextmanager

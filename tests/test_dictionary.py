@@ -1,12 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import cho_factor, cho_solve
 from scipy.stats import norm
 
 import ssvi
+from ssvi import dictionary
+from ssvi.blas import one_thread
 from ssvi.dictionary import BasisId, DictionaryDegenerateError, GramMatrix
 
-from conftest import basis_values, dense_gram
+from conftest import basis_values, dense_gram, reference_gram_blocks
 
 
 class TestSizeAndOrdering:
@@ -159,6 +164,50 @@ class TestGram:
                     - mean[0] * mean[1] * mean[2] * mean[3])
         assert Q[spec.index_of(a), spec.index_of(b)] == pytest.approx(
             expected, abs=1e-12)
+
+    # the criterion-1 grid, the demo and wide grids, three leaves, and
+    # small ones down to N = 2
+    @pytest.mark.parametrize("d, R, delta", [
+        (2, 4.0, 0.25), (2, 4.0, 0.5), (3, 2.0, 0.5), (10, 3.0, 0.5),
+        (2, 2.0, 1.0), (4, 1.0, 0.25), (2, 0.5, 0.5)])
+    def test_blocks_and_factors_equal_the_gather_reference(self, d, R,
+                                                           delta):
+        spec = ssvi.build_dictionary(d, R, delta)
+        gram = ssvi.gram_matrix(spec)
+        for name, Qb, ref in zip(("root", "leaf"), (gram.Q_root, gram.Q_leaf),
+                                 reference_gram_blocks(spec)):
+            assert np.array_equal(Qb, ref)
+            assert np.array_equal(Qb, Qb.T)
+            with one_thread():  # as gram_matrix factors
+                want = cho_factor(Qb, lower=True)[0]
+            assert np.array_equal(np.tril(gram._cho[name][0]), np.tril(want))
+
+    def test_build_allocates_one_leaf_block(self):
+        # the (2, 4, ¼) leaf, m = 2 144: no m×m temporary besides the block
+        spec = ssvi.build_dictionary(2, 4.0, 0.25)
+        m = spec.leaf_index.shape[1]
+        tracemalloc.start()
+        try:
+            dictionary._compute_gram(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 8 * m * m
+
+    def test_solve_checks_x_and_equals_the_checked_solve(self, d4_gram):
+        spec = d4_gram.spec
+        x = np.random.default_rng(5).normal(size=spec.p)
+        want = np.empty_like(x)
+        want[:spec.N] = cho_solve(d4_gram._cho["root"], x[:spec.N])
+        idx = spec.leaf_index
+        want[idx] = cho_solve(d4_gram._cho["leaf"], x[idx].T).T
+        assert np.array_equal(d4_gram.solve(x), want)
+        for at in (0, idx[-1, -1]):  # a root entry, the last leaf's last
+            bad = x.copy()
+            bad[at] = np.nan
+            with pytest.raises(ValueError,
+                               match="array must not contain infs or NaNs"):
+                d4_gram.solve(bad)
 
     def test_not_positive_definite_raises(self, coarse_spec, coarse_gram):
         Q_root, Q_leaf = coarse_gram.Q_root, coarse_gram.Q_leaf

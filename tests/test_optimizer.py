@@ -21,6 +21,12 @@ from ssvi.optimizer import (MAX_HALVINGS, OptimizerError, PgdConfig,
 from conftest import dense_gram, two_threads
 
 
+def symmetric_inverse(Q):
+    """Q⁻¹ made exactly symmetric, as the projection requires of W."""
+    W = np.linalg.inv(Q)
+    return 0.5 * (W + W.T)
+
+
 class FakeGram:
     """Stand-in Gram matrix of one block, for projection unit tests."""
 
@@ -30,7 +36,7 @@ class FakeGram:
 
     def blocks(self):
         yield (np.arange(len(self.Q)), self.Q,
-               lambda: np.linalg.inv(self.Q), self.last_factor)
+               lambda: symmetric_inverse(self.Q), self.last_factor)
 
 
 def bvls_projection(Q, z, constrained):
@@ -249,6 +255,24 @@ class TestBlockProjection:
                                   warm_active=active)
         assert first.tobytes() == second.tobytes() == fresh.tobytes()
 
+    def test_subproblems_are_factored_in_place(self, d4_gram, monkeypatch):
+        # this z factors both kinds: Q_FF in the root and leaves, W_AA in
+        # the leaves; each is handed over as a Fortran-ordered view, which
+        # LAPACK overwrites instead of copying
+        spec = d4_gram.spec
+        z = np.random.default_rng(15).normal(size=spec.p)
+        factor = optimizer.cho_factor
+        seen = []
+
+        def spy(a, *args, **kwargs):
+            cho = factor(a, *args, **kwargs)
+            seen.append((a.flags.f_contiguous, np.shares_memory(cho[0], a)))
+            return cho
+
+        monkeypatch.setattr(optimizer, "cho_factor", spy)
+        project_cone_q(z, ssvi.gram_matrix(spec), spec.constrained)
+        assert seen and set(seen) == {(True, True)}
+
 
 class TestFreeSideMultipliers:
     """A free-side sweep forms μ = Q(θ − z) from the free rows of Q only."""
@@ -267,7 +291,7 @@ class TestFreeSideMultipliers:
         Q, z, cons = leaf
         active = cons & (z < 0)
         theta, r, s = optimizer._project_block(
-            z, Q, lambda: np.linalg.inv(Q), {}, cons, active)
+            z, Q, lambda: symmetric_inverse(Q), {}, cons, active)
         n_free = int((~active).sum())
         assert optimizer.FREE_CHUNK // Q.shape[0] < n_free
         assert 3 * n_free <= Q.shape[0]
