@@ -291,7 +291,8 @@ class GramMatrix:
     Q is block-diagonal by coordinate: the N×N root block ``Q_root`` on the
     M0 coefficients, then d−1 identical leaf blocks ``Q_leaf``, one on each
     row of ``spec.leaf_index``.  Only the two distinct blocks and their
-    Cholesky factors are stored, so memory does not grow with d.
+    Cholesky factors are stored; the cone projection's cache grows with d,
+    one factor of at most (m/2)² entries per block position (``blocks``).
 
     Both blocks must be exactly symmetric, as ``_compute_gram`` builds
     them; this is not checked (a check reads all m² entries).  Each is

@@ -351,8 +351,12 @@ def leaf_conditional_logdensity(params, spec, i, z_i, z1):
 # Oracle approximator (grid interpolation of an external map)
 # ---------------------------------------------------------------------------
 
-def build_oracle_approximator(t_star, spec: DictionarySpec, alpha,
-                              tol=1e-9) -> StarMapParams:
+# oracle-map grid increments down to −_ORACLE_TOL are rounding, clipped to 0
+_ORACLE_TOL = 1e-9
+
+
+def build_oracle_approximator(t_star, spec: DictionarySpec,
+                              alpha) -> StarMapParams:
     """Interpolate an external star-separable map on the dictionary grid.
 
     ``t_star`` must expose ``t1(x1)`` and ``ti(i, xi, x1)`` (vectorized,
@@ -370,7 +374,7 @@ def build_oracle_approximator(t_star, spec: DictionarySpec, alpha,
 
     g1 = np.asarray(t_star.t1(grid), dtype=float) - alpha[0] * grid
     inc = np.diff(g1)
-    if inc.min() < -tol:
+    if inc.min() < -_ORACLE_TOL:
         raise MonotonicityError(
             f"root map increment {inc.min():.3e} < 0 on the grid")
     lam[:N] = np.clip(inc, 0.0, None)
@@ -384,7 +388,7 @@ def build_oracle_approximator(t_star, spec: DictionarySpec, alpha,
         Gi = np.asarray(t_star.ti(i, grid[:, None], grid[None, :]),
                         dtype=float) - alpha[i] * grid[:, None]
         D = np.diff(Gi, axis=0)          # (N, N+1): increments in x_i
-        if D.min() < -tol:
+        if D.min() < -_ORACLE_TOL:
             raise MonotonicityError(
                 f"leaf {i} increment {D.min():.3e} < 0 on the grid")
         idx = spec.leaf_index[li]

@@ -25,6 +25,7 @@ import numpy as np
 from scipy.special import expit, log_expit
 
 from .dictionary import FieldTypeError, check_keys, check_number
+from .gaussian_oracle import _precision, _validate_spd
 
 # Points per batched matmul in the non-linear GLM data Hessian.
 _HESSIAN_CHUNK = 64
@@ -115,28 +116,14 @@ class TargetPotential:
 # ---------------------------------------------------------------------------
 
 class GaussianTarget(TargetPotential):
-    """V(z) = ½ (z − m)ᵀ Σ⁻¹ (z − m)."""
+    """V(z) = ½ (z − m)ᵀ Σ⁻¹ (z − m), checked and inverted as the closed
+    forms in ``gaussian_oracle`` are, so both accept the same inputs."""
 
     def __init__(self, mean, cov):
-        mean = np.atleast_1d(np.asarray(mean, dtype=float))
-        cov = np.asarray(cov, dtype=float)
-        if cov.shape != (mean.size, mean.size):
-            raise ValueError("covariance shape does not match mean")
-        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
-            raise ValueError("mean and covariance must be finite")
-        if not np.allclose(cov, cov.T, rtol=0, atol=1e-12):
-            raise ValueError("covariance must be symmetric")
-        eigs = np.linalg.eigvalsh(cov)
-        if eigs.min() <= 0:
-            raise ValueError("covariance must be positive definite")
-        self.d = mean.size
-        self.mean = mean
-        self.cov = 0.5 * (cov + cov.T)
-        self.precision = np.linalg.inv(self.cov)
-        self.precision = 0.5 * (self.precision + self.precision.T)
-        resid = np.abs(self.cov @ self.precision - np.eye(self.d)).max()
-        if resid > 1e-10:
-            raise ValueError(f"precision inaccurate (residual {resid:.2e})")
+        self.mean = np.atleast_1d(np.asarray(mean, dtype=float))
+        self.cov = _validate_spd(cov, self.mean)
+        self.d = self.mean.size
+        self.precision = _precision(self.cov)
 
     def potential(self, z):
         z = self._check_dim(z)
@@ -381,9 +368,9 @@ class GlmLocationTarget(_GlmTarget):
         H[..., 0, 0] = self.hyperprior.deriv2(theta) + d2prior.sum(axis=-1)
         H[..., 0, 1:] = -d2prior
         H[..., 1:, 0] = -d2prior
-        H[..., 1:, 1:] = (self._data_hessian(beta)
-                          + np.einsum('...j,jk->...jk', d2prior,
-                                      np.eye(self.k)))
+        H[..., 1:, 1:] = self._data_hessian(beta)
+        idx = np.arange(1, self.d)
+        H[..., idx, idx] += d2prior
         return H
 
     def _constants(self, b, B, a_lo, a_hi):
@@ -544,16 +531,13 @@ class SpikeSlabGlmTarget(_GlmTarget):
 # ---------------------------------------------------------------------------
 
 def gaussian_ensemble_design(cov, n, seed):
-    """Draw n i.i.d. rows from N(0, Σ); deterministic for a fixed seed."""
-    cov = np.asarray(cov, dtype=float)
+    """Draw n i.i.d. rows from N(0, Σ); deterministic for a fixed seed.
+    Σ passes the one covariance check, ``gaussian_oracle._validate_spd``."""
+    cov = _validate_spd(cov)
     if n < 1:
         raise ValueError("need at least one design row")
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("covariance must be positive definite") from exc
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal((int(n), cov.shape[0])) @ chol.T
+    return (np.random.default_rng(seed).standard_normal((int(n), cov.shape[0]))
+            @ np.linalg.cholesky(cov).T)
 
 
 def load_design_csv(path, header=False):

@@ -128,3 +128,35 @@ class TestClosedFormMap:
         Z = tmap(X)
         assert np.allclose(Z[:, 0], tmap.t1(X[:, 0]))
         assert np.allclose(Z[:, 1], tmap.ti(1, X[:, 1], X[:, 0]))
+
+    def test_batch_is_the_outer_product_formula_bit_for_bit(self):
+        cov = random_spd(np.random.default_rng(4), 5)
+        tmap = ssvi.closed_form_star_map(np.arange(5.0), cov)
+        X = np.random.default_rng(5).standard_normal((50, 5))
+        want = (tmap.mean[1:] + np.outer(X[:, 0], tmap.leaf_root)
+                + X[:, 1:] * tmap.leaf_scale)
+        assert np.array_equal(tmap(X)[:, 1:], want)
+
+    @pytest.mark.parametrize("i", [0, 3, -1])
+    def test_leaf_index_out_of_range(self, i):
+        # index 0 would read the last leaf through leaf_root[-1]
+        tmap = ssvi.closed_form_star_map(np.zeros(3), np.eye(3))
+        with pytest.raises(ValueError, match="leaf index out of range"):
+            tmap.ti(i, 1.0, 0.5)
+
+
+class TestInputChecks:
+    BUILDERS = [ssvi.ssvi_gaussian, ssvi.mfvi_gaussian,
+                ssvi.closed_form_star_map, ssvi.GaussianTarget]
+
+    @pytest.mark.parametrize("build", BUILDERS)
+    @pytest.mark.parametrize("mean", [
+        [0.0, 0.0, 0.0], [[0.0, 0.0]], [0.0, np.nan], [np.inf, 0.0]])
+    def test_refuses_a_bad_mean(self, build, mean):
+        with pytest.raises(ValueError, match="mean must be a finite vector"):
+            build(mean, np.eye(2))
+
+    @pytest.mark.parametrize("build", BUILDERS)
+    def test_refuses_a_non_finite_covariance(self, build):
+        with pytest.raises(ValueError, match="finite"):
+            build(np.zeros(2), [[1.0, np.nan], [np.nan, 1.0]])

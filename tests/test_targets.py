@@ -117,6 +117,20 @@ class TestGaussianTarget:
         with pytest.raises(ValueError, match="positive definite"):
             ssvi.GaussianTarget([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])
 
+    @pytest.mark.parametrize("asym, ok", [(5e-11, True), (1e-9, False)])
+    def test_same_verdict_as_the_oracle(self, asym, ok):
+        # one covariance check: symmetric within 1e-10 entrywise
+        cov = np.array([[1.0, 0.5], [0.5 + asym, 1.0]])
+        builders = [ssvi.GaussianTarget, ssvi.ssvi_gaussian,
+                    ssvi.mfvi_gaussian, ssvi.closed_form_star_map,
+                    lambda m, c: ssvi.ssvi_mfvi_gap(c)]
+        for build in builders:
+            if ok:
+                build(np.zeros(2), cov)
+            else:
+                with pytest.raises(ValueError, match="symmetric"):
+                    build(np.zeros(2), cov)
+
     def test_dimension_mismatch(self, gauss3_target):
         with pytest.raises(ValueError, match="dimension mismatch"):
             gauss3_target.potential(np.zeros(4))
@@ -269,6 +283,18 @@ class TestGlmLocationTarget:
                            "one of"):
             ssvi.GlmLocationTarget(X, y, family=LOG_PARTITIONS["linear"])
 
+    @pytest.mark.parametrize("family", ["linear", "logistic"])
+    def test_hessian_adds_the_prior_diagonal_by_index(self, family):
+        # the prior's diagonal added in place equals the (…, k, k) einsum
+        # form it replaced, entry for entry
+        t = _random_glm("location", family, 4)
+        z = np.random.default_rng(5).normal(size=(3, 7, t.d))
+        theta, beta = z[..., 0], z[..., 1:]
+        d2prior = t.prior.deriv2(beta - theta[..., None])
+        want = t._data_hessian(beta) + np.einsum("...j,jk->...jk", d2prior,
+                                                 np.eye(t.k))
+        assert np.array_equal(t.hessian(z)[..., 1:, 1:], want)
+
     def test_logistic_uses_stable_log_partition(self):
         psi = LOG_PARTITIONS["logistic"]
         assert np.isfinite(psi.value(800.0))
@@ -344,6 +370,14 @@ class TestHelpers:
         assert np.array_equal(a, b)
         big = ssvi.gaussian_ensemble_design(cov, 200000, 7)
         assert np.allclose(np.cov(big, rowvar=False), cov, atol=0.02)
+
+    @pytest.mark.parametrize("cov, match", [
+        ([[1.0, 0.9], [0.0, 1.0]], "symmetric"),
+        ([[1.0, np.nan], [np.nan, 1.0]], "finite"),
+        ([[1.0, 0.0], [0.0, np.inf]], "finite")])
+    def test_gaussian_ensemble_design_checks_the_covariance(self, cov, match):
+        with pytest.raises(ValueError, match=match):
+            ssvi.gaussian_ensemble_design(cov, 10, 0)
 
     def test_target_from_json_gaussian(self):
         t = ssvi.target_from_json({
