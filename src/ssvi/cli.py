@@ -213,7 +213,7 @@ def cmd_compare(cfg, args):
         # KL of the fitted pushforward from a Gaussian target:
         # F̂ − d/2 + ½ log det Σ (the free energy misses only the target's
         # normalizing constant and the base entropy).
-        sign, logdet = np.linalg.slogdet(target.cov)
+        _, logdet = np.linalg.slogdet(target.cov)
         kl_fit = (result.free_energy_trace[-1] - target.d / 2.0
                   + 0.5 * logdet)
         fit_gap = float(kl_fit - kl_s)

@@ -76,17 +76,16 @@ def _factor_rule(spec):
     return V, w
 
 
-def _block_layout(N):
-    """The bases of the root block, then of one leaf block, in canonical
-    order, as groups (g, f) of rows of V.  A group holds the len(g)·len(f)
-    bases f[m](x_i)·g[r](x₁), r-major, on the block's coordinate i.  The
-    root block is one group, M0: root ramp m times the constant.  A leaf
-    block is its table, leaf ramp m times root factor 1+N+r (row r: M1 and
-    M2 by root cell, then M3, M4), bordered by M5: the constant times root
-    ramp r."""
-    ramps, const = np.arange(1, N + 1), np.zeros(1, int)
-    return (((const, ramps),),
-            ((np.arange(N + 1, 3 * N + 3), ramps), (ramps, const)))
+def _leaf_layout(N):
+    """The bases of one leaf block in canonical order, as groups (g, f) of
+    rows of V.  A group holds the len(g)·len(f) bases f[m](x_i)·g[r](x₁),
+    r-major, on leaf coordinate i: the table, leaf ramp m times root factor
+    1+N+r (row r: M1 and M2 by root cell, then M3, M4), bordered by M5, the
+    constant times root ramp r.  T₁ depends on x₁ alone, so the root's M0
+    bases are these M5 ramps: the root block is the leaf block's M5
+    corner."""
+    ramps = np.arange(1, N + 1)
+    return (np.arange(N + 1, 3 * N + 3), ramps), (ramps, np.zeros(1, int))
 
 
 # ---------------------------------------------------------------------------
@@ -159,20 +158,13 @@ class DictionarySpec:
         self.N = int(round(2 * R / delta))
         self.breakpoints = -self.R + self.delta * np.arange(self.N)
         N, dm1 = self.N, self.d - 1
-        self.p = N + 2 * dm1 * N * N + 3 * dm1 * N
         self.ordering_version = ORDERING_VERSION
-        # class-major offsets
-        self._off = {
-            "M0": 0,
-            "M1": N,
-            "M2": N + dm1 * N * N,
-            "M3": N + 2 * dm1 * N * N,
-            "M4": N + 2 * dm1 * N * N + dm1 * N,
-            "M5": N + 2 * dm1 * N * N + 2 * dm1 * N,
-        }
-        ends = [self._off[c] for c in CLASSES[1:]] + [self.p]
+        # class-major offsets, then p, from one sum of the class sizes
+        sizes = [N] + [dm1 * n for n in (N * N, N * N, N, N, N)]
+        ends = np.cumsum([0] + sizes).tolist()
+        self._off, self.p = dict(zip(CLASSES, ends)), ends[-1]
         self.leaf_index = np.hstack([np.arange(a, b).reshape(dm1, -1)
-                                     for a, b in zip(ends, ends[1:])])
+                                     for a, b in zip(ends[1:], ends[2:])])
         self.coord = np.zeros(self.p, dtype=np.intp)
         self.coord[self.leaf_index] = np.arange(1, self.d)[:, None]
         self.tail_hi = 1.0 - ndtr(self.R)
@@ -181,11 +173,11 @@ class DictionarySpec:
         # the centering does not depend on the thread count
         V, w = _factor_rule(self)
         mean = (V * w).sum(axis=1)
+        leaf = np.hstack([np.outer(mean[g], mean[f]).ravel()
+                          for g, f in _leaf_layout(N)])
         self.centering = np.empty(self.p)
-        for idx, groups in zip((np.arange(N), self.leaf_index),
-                               _block_layout(N)):
-            self.centering[idx] = np.hstack(
-                [np.outer(mean[g], mean[f]).ravel() for g, f in groups])
+        self.centering[:N] = leaf[-N:]  # M0 is the M5 border's root ramps
+        self.centering[self.leaf_index] = leaf
         self.constrained = np.ones(self.p, dtype=bool)
         self.constrained[self._off["M5"]:] = False
 
@@ -290,23 +282,23 @@ class GramMatrix:
 
     Q is block-diagonal by coordinate: the N×N root block ``Q_root`` on the
     M0 coefficients, then d−1 identical leaf blocks ``Q_leaf``, one on each
-    row of ``spec.leaf_index``.  Only the two distinct blocks and their
-    Cholesky factors are stored; the cone projection's cache grows with d,
-    one factor of at most (m/2)² entries per block position (``blocks``).
+    row of ``spec.leaf_index``; ``Q_root`` is a copy of ``Q_leaf``'s M5
+    corner (``_leaf_layout``).  Only the two blocks and their Cholesky
+    factors are stored; the cone projection's cache grows with d, one
+    factor of at most (m/2)² entries per block position (``blocks``).
 
-    Both blocks must be exactly symmetric, as ``_compute_gram`` builds
-    them; this is not checked (a check reads all m² entries).  Each is
+    ``Q_leaf`` must be exactly symmetric, as ``_compute_gram`` builds it;
+    this is not checked (a check reads all m² entries).  Each block is
     factored through its transpose, the same numbers in Fortran order,
     which LAPACK takes with a plain copy instead of a transposing one.
     """
 
-    def __init__(self, spec: DictionarySpec, Q_root: np.ndarray,
-                 Q_leaf: np.ndarray):
+    def __init__(self, spec: DictionarySpec, Q_leaf: np.ndarray):
         self.spec = spec
-        self.Q_root = Q_root
+        self.Q_root = Q_leaf[-spec.N:, -spec.N:].copy()
         self.Q_leaf = Q_leaf
         try:
-            self._cho = {"root": cho_factor(Q_root.T, lower=True),
+            self._cho = {"root": cho_factor(self.Q_root.T, lower=True),
                          "leaf": cho_factor(Q_leaf.T, lower=True)}
         except np.linalg.LinAlgError as exc:
             raise DictionaryDegenerateError(
@@ -366,13 +358,14 @@ class GramMatrix:
 
     @property
     def inv_norm(self):
-        """‖Q⁻¹‖₂, the larger of the two blocks' λ_max(Q_b⁻¹), on first
-        access.  Each is ARPACK ``eigsh`` on a ``LinearOperator`` of the
-        cached factor's solves, stopped once the top Ritz value θ has
-        residual ≤ 1e−10·θ: a lower estimate within 1e−10 relative of an
-        eigenvalue.  ``ArpackNoConvergence`` (a RuntimeError) propagates."""
+        """‖Q⁻¹‖₂ = λ_max(Q_leaf⁻¹) on first access (by Cauchy interlacing,
+        as Q_root is a corner of Q_leaf), by ARPACK ``eigsh`` on a
+        ``LinearOperator`` of the cached leaf factor's solves, stopped once
+        the top Ritz value θ has residual ≤ 1e−10·θ: a lower estimate within
+        1e−10 relative of an eigenvalue.  ``ArpackNoConvergence`` (a
+        RuntimeError) propagates."""
         if self._inv_norm is None:
-            self._inv_norm = max(map(_inv_norm, self._cho.values()))
+            self._inv_norm = _inv_norm(self._cho["leaf"])
         return self._inv_norm
 
 
@@ -389,38 +382,35 @@ def _inv_norm(cho):
 
 
 def _compute_gram(spec: DictionarySpec):
-    """The two distinct blocks of Q: (Q_root, Q_leaf).  Under ρ a basis's
-    two factors are independent (for M0 and M5 one is the constant), so
-    E[f·g·f′·g′] = E[f f′]·E[g g′] and each block is M[f, f′]∘M[g, g′] − c cᵀ
-    with M the rule's second moments and c = ``spec.centering``.  Between
-    two groups of ``_block_layout`` that is the Kronecker product
+    """The leaf block Q_leaf of Q.  Under ρ a basis's two factors are
+    independent (for M5 one is the constant), so E[f·g·f′·g′] =
+    E[f f′]·E[g g′] and the block is M[f, f′]∘M[g, g′] − c cᵀ with M the
+    rule's second moments and c the leaf's ``spec.centering``.  Between two
+    groups of ``_leaf_layout`` that is the Kronecker product
     M[g, g′] ⊗ M[f, f′], written by broadcasting into a view of the block;
     c cᵀ is subtracted in strips of N rows, so no other m×m array exists."""
     V, w = _factor_rule(spec)
     M = (V * w) @ V.T
-    M = 0.5 * (M + M.T)  # so every block is exactly symmetric
-    blocks = []
-    for idx, groups in zip((np.arange(spec.N), spec.leaf_index[0]),
-                           _block_layout(spec.N)):
-        c = spec.centering[idx]
-        Q = np.empty((c.size, c.size))
-        starts = np.cumsum([0] + [len(g) * len(f) for g, f in groups])
-        parts = list(zip(groups, starts, starts[1:]))
-        for (g, f), a, b in parts:
-            for (g2, f2), a2, b2 in parts:
-                # splitting both axes of a slice of Q is always a view
-                np.multiply(M[np.ix_(g, g2)][:, None, :, None],
-                            M[np.ix_(f, f2)][None, :, None, :],
-                            out=Q[a:b, a2:b2].reshape(len(g), len(f),
-                                                      len(g2), len(f2)))
-        for r in range(0, c.size, spec.N):
-            Q[r:r + spec.N] -= np.multiply.outer(c[r:r + spec.N], c)
-        blocks.append(Q)
-    return tuple(blocks)
+    M = 0.5 * (M + M.T)  # so the block is exactly symmetric
+    groups = _leaf_layout(spec.N)
+    c = spec.centering[spec.leaf_index[0]]
+    Q = np.empty((c.size, c.size))
+    starts = np.cumsum([0] + [len(g) * len(f) for g, f in groups])
+    parts = list(zip(groups, starts, starts[1:]))
+    for (g, f), a, b in parts:
+        for (g2, f2), a2, b2 in parts:
+            # splitting both axes of a slice of Q is always a view
+            np.multiply(M[np.ix_(g, g2)][:, None, :, None],
+                        M[np.ix_(f, f2)][None, :, None, :],
+                        out=Q[a:b, a2:b2].reshape(len(g), len(f),
+                                                  len(g2), len(f2)))
+    for r in range(0, c.size, spec.N):
+        Q[r:r + spec.N] -= np.multiply.outer(c[r:r + spec.N], c)
+    return Q
 
 
 @one_thread()
 def gram_matrix(spec: DictionarySpec) -> GramMatrix:
-    """Build the two Gram blocks of ``spec`` and their Cholesky factors,
-    with both BLAS pools at one thread (restored on exit)."""
-    return GramMatrix(spec, *_compute_gram(spec))
+    """Build the leaf Gram block of ``spec`` and the Cholesky factors of
+    both blocks, with both BLAS pools at one thread (restored on exit)."""
+    return GramMatrix(spec, _compute_gram(spec))

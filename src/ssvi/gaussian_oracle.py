@@ -78,9 +78,10 @@ def mfvi_gaussian(m, cov) -> GaussianDist:
 
 
 def kl_gaussians(p0: GaussianDist, p1: GaussianDist) -> float:
-    """KL(N(μ₀,Σ₀) ‖ N(μ₁,Σ₁)) via Cholesky factors."""
-    s0, s1 = np.asarray(p0.cov, dtype=float), np.asarray(p1.cov, dtype=float)
-    if s0.shape != s1.shape or p0.mean.shape != p1.mean.shape:
+    """KL(N(μ₀,Σ₀) ‖ N(μ₁,Σ₁)) of two checked Gaussians, via Cholesky."""
+    m0, m1 = (np.asarray(p.mean, dtype=float) for p in (p0, p1))
+    s0, s1 = _validate_spd(p0.cov, m0), _validate_spd(p1.cov, m1)
+    if s0.shape != s1.shape:
         raise ValueError("dimension mismatch")
     k = s0.shape[0]
     L0 = cholesky(s0, lower=True)
@@ -90,7 +91,7 @@ def kl_gaussians(p0: GaussianDist, p1: GaussianDist) -> float:
     # tr(Σ₁⁻¹Σ₀) = ‖L₁⁻¹L₀‖_F²
     M = solve_triangular(L1, L0, lower=True)
     trace = float(np.sum(M * M))
-    diff = p0.mean - p1.mean
+    diff = m0 - m1
     y = solve_triangular(L1, diff, lower=True)
     quad = float(y @ y)
     return 0.5 * (logdet1 - logdet0 + trace - k + quad)

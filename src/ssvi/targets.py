@@ -466,9 +466,9 @@ class SpikeSlabGlmTarget(_GlmTarget):
         X = self.X
         if X.shape[1] < 2:
             raise ValueError("spike-slab target needs at least two columns")
-        for field, value in [("eta", eta), ("tau0", tau0), ("tau1", tau1),
-                             ("debias_precision", debias_precision)]:
-            check_number(field, value)
+        for name, value in [("eta", eta), ("tau0", tau0), ("tau1", tau1),
+                            ("debias_precision", debias_precision)]:
+            check_number(name, value)
         # checks eta and the two precisions
         self.xi_bound = mixture_log_concavity_bound(eta, tau0, tau1)
         if not 0 <= debias_precision < math.inf:
@@ -541,14 +541,20 @@ def gaussian_ensemble_design(cov, n, seed):
 
 
 def load_design_csv(path, header=False):
-    """Load a row-major numeric design matrix from CSV."""
+    """Load a row-major numeric design matrix from CSV.  A blank line or a
+    row of another length than the first raises ``ValueError`` naming its
+    file line (counted from 1, header included)."""
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if header:
-        rows = rows[1:]
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, row) for row in reader][int(header):]
     if not rows:
         raise ValueError(f"empty design file: {path}")
-    return np.array([[float(v) for v in row] for row in rows])
+    width = len(rows[0][1]) or "at least 1"  # a blank first row never fits
+    for line, row in rows:
+        if len(row) != width:
+            raise ValueError(f"{path}: line {line} has {len(row)} values, "
+                             f"expected {width}")
+    return np.array([[float(v) for v in row] for _, row in rows])
 
 
 _PRIORS = {"gaussian": GaussianPrior, "logistic": LogisticPrior}

@@ -567,6 +567,18 @@ def test_log_partition_of_wrong_type_names_its_key(tmp_path, capsys):
         "config error: target.log_partition: must be one of")
 
 
+def test_ragged_design_csv_exits_2_naming_the_line(tmp_path, capsys):
+    csv_path = tmp_path / "X.csv"
+    csv_path.write_text("1.0,0.0\n0.0,1.0\n2.0\n")
+    cfg = write_config(tmp_path, target={
+        "family": "glm_location", "design_csv": str(csv_path),
+        "response": [1.0, 0.0, 0.5]})
+    assert main(["fit", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: target: {csv_path}: line 3 has 1 values, expected 2")
+
+
 @pytest.mark.parametrize("extra, field", [
     ({"design_csv": "no-such.csv"}, "design_csv"),
     ({"design_csv_header": True}, "design_csv_header"),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.linalg import cho_factor, cho_solve
+from scipy.sparse.linalg import eigsh
 from scipy.stats import norm
 
 import ssvi
@@ -12,6 +13,12 @@ from ssvi.blas import one_thread
 from ssvi.dictionary import BasisId, DictionaryDegenerateError, GramMatrix
 
 from conftest import basis_values, dense_gram, reference_gram_blocks
+
+# the criterion-1 grid, the benchmark and demo grids and small ones, down to
+# (2, 1, 1): a root block of m = 2 and a leaf of m = 14
+INV_NORM_GRIDS = [
+    (2, 4.0, 0.25), (2, 4.0, 0.5), (10, 3.0, 0.5), (4, 1.0, 0.5),
+    (10, 2.0, 0.5), (2, 2.0, 1.0), (3, 2.0, 0.5), (2, 1.0, 1.0)]
 
 
 class TestSizeAndOrdering:
@@ -26,12 +33,14 @@ class TestSizeAndOrdering:
             spec = ssvi.build_dictionary(d, R, delta)
             N = int(round(2 * R / delta))
             assert spec.p == N + 2 * (d - 1) * N * N + 3 * (d - 1) * N
+            assert type(spec.p) is int
 
     def test_index_id_roundtrip(self):
         spec = ssvi.build_dictionary(3, 1.0, 0.5)
         for idx in range(spec.p):
             bid = spec.id_of(idx)
             assert spec.index_of(bid) == idx
+            assert type(spec.index_of(bid)) is int
 
     def test_ordering_version_exposed(self):
         spec = ssvi.build_dictionary(2, 1.0, 1.0)
@@ -210,10 +219,8 @@ class TestGram:
                 d4_gram.solve(bad)
 
     def test_not_positive_definite_raises(self, coarse_spec, coarse_gram):
-        Q_root, Q_leaf = coarse_gram.Q_root, coarse_gram.Q_leaf
-        for blocks in ((-Q_root, Q_leaf), (Q_root, -Q_leaf)):
-            with pytest.raises(DictionaryDegenerateError):
-                GramMatrix(coarse_spec, *blocks)
+        with pytest.raises(DictionaryDegenerateError):
+            GramMatrix(coarse_spec, -coarse_gram.Q_leaf)
 
     def test_inverse_matches_dense_inverse(self, coarse_gram):
         for block, Qb in (("root", coarse_gram.Q_root),
@@ -239,22 +246,40 @@ class TestGram:
             dense = 1.0 / np.linalg.eigvalsh(dense_gram(gram)).min()
             assert np.isclose(gram.inv_norm, dense, rtol=1e-4)
 
-    # the criterion-1 grid, the benchmark and demo grids and small ones,
-    # down to (2, 1, 1): a root block of m = 2 and a leaf of m = 14
-    @pytest.mark.parametrize("d, R, delta", [
-        (2, 4.0, 0.25), (2, 4.0, 0.5), (10, 3.0, 0.5), (4, 1.0, 0.5),
-        (10, 2.0, 0.5), (2, 2.0, 1.0), (3, 2.0, 0.5), (2, 1.0, 1.0)])
+    @pytest.mark.parametrize("d, R, delta", INV_NORM_GRIDS)
     def test_inv_norm_of_every_block_to_1e_8(self, d, R, delta):
         gram = ssvi.gram_matrix(ssvi.build_dictionary(d, R, delta))
         for Qb in (gram.Q_root, gram.Q_leaf):
             assert np.array_equal(Qb, Qb.T)  # symmetric by construction
-            # with Qb as both blocks, ‖Q⁻¹‖₂ is 1/λ_min(Qb)
-            got = GramMatrix(gram.spec, Qb, Qb).inv_norm
+            got = dictionary._inv_norm(cho_factor(Qb.T, lower=True))
             want = 1.0 / np.linalg.eigvalsh(Qb)[0]
             # at m <= 16 the Krylov space (ncv = m) is the whole space, so
             # the smallest blocks come out to rounding
             rel = 1e-13 if len(Qb) <= 4 else 1e-8
             assert got == pytest.approx(want, rel=rel)
+
+    @pytest.mark.parametrize("d, R, delta", INV_NORM_GRIDS)
+    def test_inv_norm_is_the_leaf_blocks_by_one_arpack_call(
+            self, monkeypatch, d, R, delta):
+        # Q_root is Q_leaf's M5 corner, so by Cauchy interlacing the leaf
+        # block alone sets ‖Q⁻¹‖₂
+        gram = ssvi.gram_matrix(ssvi.build_dictionary(d, R, delta))
+        N = gram.spec.N
+        assert np.array_equal(gram.Q_root, gram.Q_leaf[-N:, -N:])
+        assert gram.Q_root.flags.c_contiguous
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(dictionary, "eigsh", spy)
+        got = gram.inv_norm
+        assert len(calls) == 1
+        assert gram.inv_norm == got and len(calls) == 1  # cached
+        monkeypatch.undo()
+        assert got == dictionary._inv_norm(gram._cho["leaf"])
+        assert got >= dictionary._inv_norm(gram._cho["root"])
 
     def test_block_solve_and_matvec_match_dense(self, d4_gram):
         rng = np.random.default_rng(4)

@@ -88,6 +88,27 @@ class TestKl:
         expect = 0.5 * (np.log(0.5) + 2.0 - 1.0 + 1.0)
         assert np.isclose(ssvi.kl_gaussians(p0, p1), expect)
 
+    @pytest.mark.parametrize("first", [True, False])
+    def test_rejects_an_asymmetric_covariance(self, first):
+        bad = GaussianDist(np.zeros(2), np.array([[1.0, 0.5], [0.3, 1.0]]))
+        ok = GaussianDist(np.zeros(2), np.eye(2))
+        with pytest.raises(ValueError, match="symmetric"):
+            ssvi.kl_gaussians(*((bad, ok) if first else (ok, bad)))
+
+    @pytest.mark.parametrize("first", [True, False])
+    def test_rejects_a_covariance_not_positive_definite(self, first):
+        bad = GaussianDist(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
+        ok = GaussianDist(np.zeros(2), np.eye(2))
+        with pytest.raises(ValueError, match="positive definite"):
+            ssvi.kl_gaussians(*((bad, ok) if first else (ok, bad)))
+
+    @pytest.mark.parametrize("first", [True, False])
+    def test_rejects_a_mean_of_the_wrong_length(self, first):
+        bad = GaussianDist(np.zeros(3), np.eye(2))
+        ok = GaussianDist(np.zeros(2), np.eye(2))
+        with pytest.raises(ValueError, match="mean must be a finite vector"):
+            ssvi.kl_gaussians(*((bad, ok) if first else (ok, bad)))
+
     def test_gap_identity(self):
         rng = np.random.default_rng(2)
         for _ in range(20):

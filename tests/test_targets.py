@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -395,6 +396,20 @@ class TestHelpers:
         p.write_text("1.0,2.0\n3.0,4.0\n")
         X = ssvi.load_design_csv(p)
         assert np.array_equal(X, [[1.0, 2.0], [3.0, 4.0]])
+
+    @pytest.mark.parametrize("text, header, match", [
+        ("1.0,2.0\n3.0,4.0\n5.0\n", False,
+         "line 3 has 1 values, expected 2"),
+        ("x1,x2\n1.0,2.0\n3.0\n", True, "line 3 has 1 values, expected 2"),
+        ("1.0,2.0\n\n3.0,4.0\n", False, "line 2 has 0 values, expected 2"),
+        ("\n1.0,2.0\n", False, "line 1 has 0 values, expected at least 1"),
+    ], ids=["ragged", "ragged-after-header", "blank", "blank-first"])
+    def test_load_design_csv_names_the_bad_line(self, tmp_path, text, header,
+                                                match):
+        p = tmp_path / "design.csv"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: {match}"):
+            ssvi.load_design_csv(p, header=header)
 
     @pytest.mark.parametrize("header", [False, True])
     @pytest.mark.parametrize("family", ["glm_location", "spike_slab"])
